@@ -1,6 +1,6 @@
-//! Criterion bench: Spatial-interpreter throughput across all three
-//! engines — flat bytecode (`Machine::run`), the recursive resolved
-//! tree (`Machine::run_tree`), and the string-keyed reference walker.
+//! Criterion bench: Spatial-interpreter throughput on both engines —
+//! flat bytecode (`Machine::run`) and the string-keyed reference
+//! walker.
 //!
 //! Measures elements/second (nonzeros of the stationary operand) on
 //! three interpreter-bound kernels at nnz ∈ {10⁴, 10⁵, 10⁶}:
@@ -11,7 +11,7 @@
 //!   into a SparseSRAM scatter buffer via `RmwAdd`, and
 //! - **scan_union**: per-row bit-vector generation plus a `Scan2(Or)`
 //!   reduction (the Plus2 union shape) — gates the bytecode engine's
-//!   scan superinstructions against the framed tree walkers.
+//!   scan superinstructions against the reference walker.
 //!
 //! Every benchmark clones a pre-bound machine per sample (`iter_batched`
 //! setup, excluded from timing) so all engines execute from identical
@@ -197,9 +197,7 @@ fn spmv_workload(nnz_target: usize) -> Workload {
 /// `B(i,k) * C(k,j)` into a SparseSRAM row buffer. C is kept sparse
 /// (~32 nonzeros per row, still ≪ n columns) so total work stays
 /// proportional to B's nnz while the inner scatter runs are long enough
-/// to behave like real accumulation loops — and, under the vector tier,
-/// to form full 8-wide chunks rather than degenerating to the scalar
-/// tail on every row.
+/// to behave like real accumulation loops.
 fn spmspm_workload(nnz_target: usize) -> Workload {
     let n = (nnz_target / 50).max(8);
     let b = csr(n, nnz_target, 0xB0B);
@@ -318,8 +316,7 @@ fn spmspm_workload(nnz_target: usize) -> Workload {
 /// Scatter-focused entry: per row, accumulate `scale(i) * vals(j)` into
 /// a shared SparseSRAM accumulator at gathered coordinates — the SpMSpM
 /// inner loop isolated at one nesting level, so the hot loop is *only*
-/// the `RmwAdd` scatter superinstruction (and, under the vector tier,
-/// the `VecClass::Scatter` chunked path). The accumulator is allocated
+/// the `RmwAdd` scatter superinstruction. The accumulator is allocated
 /// *once*, outside the row loop: a per-row buffer would be re-zeroed
 /// O(n) per O(nnz/n) scatters and the zeroing, not the scatter, would
 /// dominate at scale.
@@ -417,7 +414,7 @@ fn scatter_workload(nnz_target: usize) -> Workload {
 /// vectors, and a `Scan2(Or)` reduction co-iterates them. The hot loop
 /// is the scan itself — this entry gates the scan-superinstruction
 /// fast path ([`Op::Scan1Simple`]/[`Op::Scan2Simple`] in the bytecode
-/// engine) against the framed tree walkers.
+/// engine) against the reference walker.
 fn scan_union_workload(nnz_target: usize) -> Workload {
     // Dense-ish rows over a narrow column dimension keep the scanned
     // bit vectors short (8 words) while emits stay proportional to nnz.
@@ -526,53 +523,6 @@ fn scan_union_workload(nnz_target: usize) -> Workload {
     }
 }
 
-/// A dense in-bounds fill `s[j] = vals_s[j]` over the whole array —
-/// the shape the bounds-check-elision table licenses. Timed with the
-/// vector tier off so the scalar per-access checks are the entire
-/// inner loop, isolating the elision win.
-fn fill_workload(n: usize) -> Workload {
-    let vals: Vec<f64> = (0..n).map(|i| (i % 97) as f64 * 0.25 + 0.125).collect();
-    let mut p = SpatialProgram::new("fill_interp");
-    p.add_dram("vals_d", n);
-    p.add_dram("out_d", n);
-    p.accel
-        .push(SpatialStmt::Alloc(MemDecl::new("vals_s", MemKind::Sram, n)));
-    p.accel
-        .push(SpatialStmt::Alloc(MemDecl::new("s", MemKind::Sram, n)));
-    p.accel.push(SpatialStmt::Load {
-        dst: "vals_s".into(),
-        src: "vals_d".into(),
-        start: SExpr::Const(0.0),
-        end: SExpr::Const(n as f64),
-        par: 16,
-    });
-    p.accel.push(SpatialStmt::Foreach {
-        id: 0,
-        counter: Counter::range_to("j", SExpr::Const(n as f64)),
-        par: 1,
-        body: vec![SpatialStmt::WriteMem {
-            mem: "s".into(),
-            index: SExpr::var("j"),
-            value: SExpr::read("vals_s", SExpr::var("j")),
-            random: false,
-        }],
-    });
-    p.accel.push(SpatialStmt::Store {
-        dst: "out_d".into(),
-        offset: SExpr::Const(0.0),
-        src: "s".into(),
-        len: SExpr::Const(n as f64),
-        par: 16,
-    });
-    p.assign_ids();
-    Workload {
-        name: "fill",
-        program: p,
-        images: vec![("vals_d".into(), Image::F64(vals))],
-        elements: n as u64,
-    }
-}
-
 fn quick() -> bool {
     std::env::var("CRITERION_QUICK").is_ok_and(|v| v != "0")
         || std::env::args().any(|a| a == "--quick")
@@ -607,14 +557,6 @@ fn bench_engines(c: &mut Criterion, make: fn(usize) -> Workload) {
             b.iter_batched(
                 || proto.clone(),
                 |mut m| m.run(&program).expect("runs"),
-                BatchSize::LargeInput,
-            );
-        });
-        group.bench_with_input(BenchmarkId::new("resolved-tree", nnz), &w, |b, w| {
-            let proto = w.machine();
-            b.iter_batched(
-                || proto.clone(),
-                |mut m| m.run_tree(&program).expect("runs"),
                 BatchSize::LargeInput,
             );
         });
@@ -697,7 +639,6 @@ fn time_best<M: Clone>(proto: &M, mut run: impl FnMut(&mut M)) -> f64 {
 fn speedup_summary(_c: &mut Criterion) {
     let nnz = *sizes().last().expect("nonempty");
     let mut rows = String::new();
-    let mut vector_rows = String::new();
     for make in [
         spmv_workload as fn(usize) -> Workload,
         spmspm_workload,
@@ -712,53 +653,36 @@ fn speedup_summary(_c: &mut Criterion) {
         // wall-clock deadline arms the full accounting path — per-step
         // fuel countdown and the masked back-edge interrupt check. The
         // acceptance bar for the fault-isolation layer is ≤5% overhead
-        // vs the unbudgeted run at this size. The vector-vs-scalar split
-        // gates the data-parallel tier the same way. All bytecode legs
-        // are timed *interleaved* (alternating reps, best of five each):
+        // vs the unbudgeted run at this size. Both bytecode legs are
+        // timed *interleaved* (alternating reps, best of five each):
         // run-to-run drift on a shared container swamps a few percent
         // when the legs are measured in separate windows.
         let budget = RunBudget::default()
             .with_max_steps(u64::MAX / 2)
             .with_deadline(Duration::from_secs(3600));
-        let (mut bc_t, mut sc_t, mut bud_t) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        let (mut bc_t, mut bud_t) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..5 {
             let mut m = bytecode.clone();
-            m.set_vector_mode(true);
             let t0 = Instant::now();
             m.run(&w.program).expect("bytecode runs");
             bc_t = bc_t.min(t0.elapsed().as_secs_f64());
             let mut m = bytecode.clone();
-            m.set_vector_mode(false);
-            let t0 = Instant::now();
-            m.run(&w.program).expect("scalar bytecode runs");
-            sc_t = sc_t.min(t0.elapsed().as_secs_f64());
-            let mut m = bytecode.clone();
-            m.set_vector_mode(true);
             m.set_budget(budget.clone());
             let t0 = Instant::now();
             m.run(&w.program).expect("budgeted bytecode runs");
             bud_t = bud_t.min(t0.elapsed().as_secs_f64());
         }
         let budget_overhead_pct = (bud_t / bc_t - 1.0) * 100.0;
-        let vec_speedup = sc_t / bc_t;
-        let tree_t = time_best(&bytecode, |m| {
-            m.run_tree(&w.program).expect("resolved tree runs");
-        });
         let ref_t = time_best(&reference, |m| {
             m.run(&w.program).expect("reference runs");
         });
         println!(
-            "{} nnz={nnz}: bytecode {:.1} ms (scalar {:.1} ms, vector/scalar {:.2}x), \
-             resolved-tree {:.1} ms, reference {:.1} ms, \
-             bytecode/tree {:.2}x, bytecode/reference {:.2}x, \
+            "{} nnz={nnz}: bytecode {:.1} ms, reference {:.1} ms, \
+             bytecode/reference {:.2}x, \
              budgeted bytecode {:.1} ms ({:+.1}% overhead)",
             w.name,
             bc_t * 1e3,
-            sc_t * 1e3,
-            vec_speedup,
-            tree_t * 1e3,
             ref_t * 1e3,
-            tree_t / bc_t,
             ref_t / bc_t,
             bud_t * 1e3,
             budget_overhead_pct,
@@ -766,84 +690,32 @@ fn speedup_summary(_c: &mut Criterion) {
         let elems = w.elements as f64;
         if !rows.is_empty() {
             rows.push(',');
-            vector_rows.push_str(", ");
         }
-        write!(vector_rows, r#""{}_speedup": {vec_speedup:.4}"#, w.name).expect("write to string");
         // "state" labels the on-chip memory representation each engine
-        // runs on: the bytecode and resolved-tree engines share the
-        // flat-arena machine state, while the string-keyed reference
-        // walker keeps the pre-arena per-slot heap containers — so the
-        // bytecode/reference and tree/reference ratios track the
-        // arena-vs-pre-arena perf trajectory across PRs. The "bytecode"
-        // leg runs with the vector tier on (the default); the
-        // "bytecode_scalar" leg is the same engine with the tier forced
-        // off, so vector_vs_scalar_speedup isolates the chunked paths.
+        // runs on: the bytecode engine runs on the flat-arena machine
+        // state, while the string-keyed reference walker keeps the
+        // pre-arena per-slot heap containers — so the bytecode/reference
+        // ratio tracks the arena-vs-pre-arena perf trajectory.
         write!(
             rows,
             r#"
     {{"kernel": "{}", "nnz": {nnz}, "elements": {},
      "engines": {{
        "bytecode": {{"seconds": {bc_t:.6e}, "elems_per_sec": {:.6e}, "state": "arena"}},
-       "bytecode_scalar": {{"seconds": {sc_t:.6e}, "elems_per_sec": {:.6e}, "state": "arena"}},
-       "resolved_tree": {{"seconds": {tree_t:.6e}, "elems_per_sec": {:.6e}, "state": "arena"}},
        "reference": {{"seconds": {ref_t:.6e}, "elems_per_sec": {:.6e}, "state": "per_slot_heap"}}
      }},
      "budgeted_bytecode": {{"seconds": {bud_t:.6e}, "overhead_pct": {budget_overhead_pct:.2}}},
-     "vector_vs_scalar_speedup": {vec_speedup:.4},
-     "speedup_bytecode_vs_tree": {:.4},
      "speedup_bytecode_vs_reference": {:.4},
-     "speedup_arena_bytecode_vs_prearena_reference": {:.4},
-     "speedup_arena_tree_vs_prearena_reference": {:.4}}}"#,
+     "speedup_arena_bytecode_vs_prearena_reference": {:.4}}}"#,
             w.name,
             w.elements,
             elems / bc_t,
-            elems / sc_t,
-            elems / tree_t,
             elems / ref_t,
-            tree_t / bc_t,
             ref_t / bc_t,
             ref_t / bc_t,
-            ref_t / tree_t,
         )
         .expect("write to string");
     }
-    // Bounds-check-elision leg: the dense in-bounds fill is exactly the
-    // shape the effect analysis licenses (`elide_at`), timed on the
-    // scalar path (vector tier forced off) so per-access bounds checks
-    // are the whole inner loop. Interleaved best-of-five like the legs
-    // above; checked/elided ≥ 1 means the elided fast loop is no slower
-    // than the checked one. The CI floor is lenient (0.8) because the
-    // win at this size is a few percent and shared-runner drift is real.
-    let elide_json = {
-        let w = fill_workload(nnz);
-        let machine = w.machine();
-        machine.clone().run(&w.program).expect("warmup");
-        let (mut el_t, mut ck_t) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..5 {
-            let mut m = machine.clone();
-            m.set_vector_mode(false);
-            m.set_elide_mode(true);
-            let t0 = Instant::now();
-            m.run(&w.program).expect("elided runs");
-            el_t = el_t.min(t0.elapsed().as_secs_f64());
-            let mut m = machine.clone();
-            m.set_vector_mode(false);
-            m.set_elide_mode(false);
-            let t0 = Instant::now();
-            m.run(&w.program).expect("checked runs");
-            ck_t = ck_t.min(t0.elapsed().as_secs_f64());
-        }
-        let fill_speedup = ck_t / el_t;
-        println!(
-            "elide fill nnz={nnz}: elided {:.1} ms, checked {:.1} ms, \
-             checked/elided {fill_speedup:.2}x",
-            el_t * 1e3,
-            ck_t * 1e3,
-        );
-        format!(
-            r#"{{"kernel": "fill", "nnz": {nnz}, "elided_seconds": {el_t:.6e}, "checked_seconds": {ck_t:.6e}, "fill_speedup": {fill_speedup:.4}}}"#
-        )
-    };
     // Bind-path split across every configured size: image binds must
     // stay flat while write_dram binds grow with nnz. Recorded per
     // measurement so the CI artifact carries the trajectory.
@@ -935,15 +807,9 @@ fn speedup_summary(_c: &mut Criterion) {
     }
 
     if let Ok(path) = std::env::var("BENCH_SUMMARY_JSON") {
-        // The top-level "vector" section repeats the per-kernel
-        // vector-vs-scalar speedups at the largest configured size under
-        // stable dotted paths (`vector.spmv_speedup`, ...) so the floors
-        // file can gate the data-parallel tier without `[*]` wildcards.
         let json = format!(
-            "{{\n  \"bench\": \"interp\",\n  \"quick\": {},\n  \"vector\": {{\"impl\": \"{}\", \"lanes\": {}, {vector_rows}}},\n  \"elide\": {elide_json},\n  \"results\": [{rows}\n  ],\n  \"bind\": [{bind_rows}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"interp\",\n  \"quick\": {},\n  \"results\": [{rows}\n  ],\n  \"bind\": [{bind_rows}\n  ]\n}}\n",
             quick(),
-            stardust_spatial::vector::IMPL,
-            stardust_spatial::vector::LANES,
         );
         std::fs::write(&path, json).expect("write bench summary");
         println!("bench summary written to {path}");

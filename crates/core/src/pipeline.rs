@@ -523,17 +523,14 @@ impl CompiledKernel {
     }
 
     /// [`CompiledKernel::shard`] with the shard count chosen
-    /// automatically ([`stardust_spatial::auto_shard_count_for`]) from
-    /// the proven outer-loop trip count, `pool`'s current occupancy,
-    /// and whether the candidate body is vector-eligible (chunked
-    /// shards cover trips faster, so vectorized plans get fewer,
-    /// larger shards). Returns `None` when the program is not
-    /// shardable *or* the policy sizes the run serial (tiny trip
-    /// counts, a one-machine pool) — callers fall back to the serial
-    /// pooled path either way.
+    /// automatically ([`stardust_spatial::auto_shard_count`]) from the
+    /// proven outer-loop trip count and `pool`'s current occupancy.
+    /// Returns `None` when the program is not shardable *or* the
+    /// policy sizes the run serial (tiny trip counts, a one-machine
+    /// pool) — callers fall back to the serial pooled path either way.
     pub fn shard_auto(&self, pool: &MachinePool) -> Option<CompiledShards> {
         let plan = ShardPlan::analyze(&self.spatial).ok()?;
-        let n = stardust_spatial::auto_shard_count_for(&plan, &pool.occupancy());
+        let n = stardust_spatial::auto_shard_count(plan.trips(), &pool.occupancy());
         if n <= 1 {
             return None;
         }

@@ -73,10 +73,8 @@ pub struct ServeConfig {
     /// machines (merged bitwise identically to serial); `NotShardable`
     /// stages — and everything at the default `1` — run the serial
     /// pooled path. `0` means **auto**: the count is chosen per stage
-    /// from the proven outer-loop trip count, the pool's occupancy at
-    /// plan time, and the plan's vector eligibility — chunked shards
-    /// cover trips faster, so vectorizable loops split into fewer,
-    /// larger slices ([`stardust_spatial::auto_shard_count_for`]).
+    /// from the proven outer-loop trip count and the pool's occupancy
+    /// at plan time ([`stardust_spatial::auto_shard_count`]).
     /// Tiny loops stay serial and wide ones split up to the machines
     /// actually available. Sharded stages cap their machine checkouts
     /// at [`ServeConfig::tenant_inflight`], so one tenant's wide job

@@ -1,15 +1,12 @@
 //! Static analysis over the lowered bytecode: one dataflow pass that
 //! gates every compile.
 //!
-//! The shard planner ([`crate::shard`]) and the vector tier
-//! ([`crate::vector`]) both need to *prove* properties of a compiled
-//! program before running it differently from the serial scalar
-//! interpreter: that a loop's iterations are independent, that a store
-//! can never land outside its arena region, that a prefix only loads.
-//! Historically each proved its own fragment with ad-hoc syntactic
-//! pattern matching over the source tree. This module centralizes the
-//! reasoning over the *lowered* `Vec<Op>` form, where every name is a
-//! dense slot and every loop is an explicit jump structure:
+//! The shard planner ([`crate::shard`]) needs to *prove* properties of
+//! a compiled program before running it differently from the serial
+//! interpreter: that a loop's iterations are independent, that a
+//! prefix only loads, that a suffix reads nothing the body defines.
+//! This module reasons over the *lowered* `Vec<Op>` form, where every
+//! name is a dense slot and every loop is an explicit jump structure:
 //!
 //! - [`verify`] — structural validity of a compiled program: every jump
 //!   target in range, enter/advance frames balanced, every slot within
@@ -26,21 +23,10 @@
 //!   loops: a prefix is safe to replay per shard iff its DRAM write
 //!   set is disjoint from the candidate body's, a suffix is safe to
 //!   run after iff it depends on nothing the body defines.
-//! - [`classify_vec`] — vector eligibility, moved here from the
-//!   lowering and widened: multi-statement scatter bodies
-//!   ([`VecClass::MultiScatter`]) and offset/computed dense fills ride
-//!   on the same operand-shape lattice as the original two classes.
-//! - [`compute_elide`] — the check-elision table: a store through the
-//!   loop variable of a constant-bound loop whose bound the analysis
-//!   proves within the destination's allocated extent skips the
-//!   per-access bounds check in the dispatch loop (the interpreter
-//!   re-validates the few runtime facts — slot actually allocated,
-//!   bound within the live length — once per loop instead of once per
-//!   access).
 //!
 //! The analyses are deliberately conservative: every set is an
 //! over-approximation, every proof obligation that cannot be
-//! discharged statically falls back to the checked path. Soundness
+//! discharged statically falls back to serial execution. Soundness
 //! here means "never claim a property that could fail at run time",
 //! not "accept every safe program".
 
@@ -48,8 +34,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
 
-use crate::bytecode::{EOp, FusedOp, GatherRef, Op, Operand, VecClass};
-use crate::ir::{BinSOp, MemKind};
+use crate::bytecode::{EOp, FusedOp, GatherRef, Op, Operand};
+use crate::ir::MemKind;
 use crate::resolve::{bit_words_for, ArenaLayout, DramLayout, Slot, SymbolTable};
 
 /// A structural-validity violation found by [`verify`]. Each variant
@@ -1068,405 +1054,4 @@ pub fn effects_of_span(ops: &[Op], eops: &[EOp], fused: &[FusedOp], span: Range<
         eff.op(eops, fused, op);
     }
     eff
-}
-
-/// Whether a reduce operand is a unit-stride gather shape over loop
-/// variable `var` (see [`VecClass::GatherReduce`]).
-fn reduce_vectorizable(expr: Operand, var: Slot, fused: &[FusedOp]) -> bool {
-    match expr {
-        Operand::Gather { var: v, .. } => v == var,
-        Operand::Fused(i) => match fused[i as usize] {
-            // `a` must be loop-invariant: the splat is read once per
-            // chunk, so the loop variable itself is not eligible.
-            FusedOp::BinGather { a, mem, .. } => mem.var == var && a != var,
-            FusedOp::BinGatherInd { lhs, inner, .. } => lhs.var == var && inner.var == var,
-            FusedOp::GatherOffset { .. } => false,
-        },
-        _ => false,
-    }
-}
-
-/// Whether `operand` is the `env[var] op c` expression program
-/// (`[VarConstBin, End]`), returning its parts. The lowering emits
-/// this two-op program for `Var op Const` shapes it has no immediate
-/// form for — the offset dense fill `s[j + 1] = ...` and computed fill
-/// values `s[j] = j * 2.0` both land here.
-fn var_const_bin(operand: Operand, eops: &[EOp]) -> Option<(Slot, f64, BinSOp)> {
-    let Operand::Expr(e) = operand else {
-        return None;
-    };
-    match (eops.get(e as usize), eops.get(e as usize + 1)) {
-        (Some(&EOp::VarConstBin { var, c, op }), Some(&EOp::End)) => Some((var, c, op)),
-        _ => None,
-    }
-}
-
-/// Whether a scatter index operand is chunkable over loop variable
-/// `var`: the variable itself (iota), a unit-stride gather, or — via
-/// [`var_const_bin`] — `var + c` with an integral non-negative offset
-/// small enough that lane indices computed as `usize` additions equal
-/// the scalar engine's f64 arithmetic bit-for-bit (`Add` only; sums
-/// stay below 2^33, exactly representable).
-fn scatter_index_ok(index: Operand, var: Slot, eops: &[EOp]) -> bool {
-    match index {
-        // Dense run: `dst[v] = ...`.
-        Operand::Var(v) => v == var,
-        // Scattered run: `dst[crd[v]] = ...`.
-        Operand::Gather { var: v, .. } => v == var,
-        // Offset dense run: `dst[v + c] = ...`.
-        _ => matches!(
-            var_const_bin(index, eops),
-            Some((v, c, BinSOp::Add))
-                if v == var && c >= 0.0 && c.fract() == 0.0 && c <= 4_294_967_296.0
-        ),
-    }
-}
-
-/// Whether a scatter value operand is chunkable over loop variable
-/// `var` (see [`VecClass::Scatter`]); the widened lattice also admits
-/// the computed fill `env[var] op c` (evaluated per lane, no
-/// cross-lane dependence, so lane-order evaluation is bitwise
-/// identical to the scalar loop).
-fn scatter_value_ok(value: Operand, var: Slot, eops: &[EOp], fused: &[FusedOp]) -> bool {
-    match value {
-        Operand::Const(_) | Operand::Var(_) => true,
-        Operand::Gather { var: v, .. } => v == var,
-        Operand::Fused(i) => match fused[i as usize] {
-            FusedOp::BinGather { a, mem, .. } => mem.var == var && a != var,
-            _ => false,
-        },
-        _ => matches!(var_const_bin(value, eops), Some((v, _, _)) if v == var),
-    }
-}
-
-/// Whether a scatter body's index/value operands are chunkable over
-/// loop variable `var` (see [`VecClass::Scatter`]).
-fn scatter_vectorizable(
-    index: Operand,
-    value: Operand,
-    var: Slot,
-    eops: &[EOp],
-    fused: &[FusedOp],
-) -> bool {
-    scatter_index_ok(index, var, eops) && scatter_value_ok(value, var, eops, fused)
-}
-
-/// The gather chip slots an operand may read (for scatter aliasing:
-/// a chunked commit must not read a slot an earlier statement in the
-/// same iteration writes).
-fn operand_gather_chips(operand: Operand, eops: &[EOp], fused: &[FusedOp], out: &mut Vec<Slot>) {
-    match operand {
-        Operand::Const(_) | Operand::Var(_) => {}
-        Operand::Gather { chip, .. } => out.push(chip),
-        Operand::Fused(i) => match fused[i as usize] {
-            FusedOp::GatherOffset { mem, .. } => out.push(mem.chip),
-            FusedOp::BinGather { mem, .. } => out.push(mem.chip),
-            FusedOp::BinGatherInd {
-                lhs, inner, outer, ..
-            } => {
-                out.push(lhs.chip);
-                out.push(inner.chip);
-                out.push(outer.chip);
-            }
-        },
-        Operand::Expr(e) => {
-            for eop in &eops[e as usize..] {
-                match *eop {
-                    EOp::ReadMem { chip, .. }
-                    | EOp::VarReadMem { chip, .. }
-                    | EOp::VarBinGather { chip, .. } => out.push(chip),
-                    EOp::RegRead(r) | EOp::Deq(r) => out.push(r),
-                    EOp::End => break,
-                    _ => {}
-                }
-            }
-        }
-    }
-}
-
-/// Whether a multi-statement body qualifies as
-/// [`VecClass::MultiScatter`]: every body op is a scatter write with
-/// chunkable operands, destination slots are pairwise distinct (two
-/// statements scattering into one slot can interleave differently
-/// under chunking), and no statement gathers from a slot any statement
-/// writes (a chunk reads all lanes before committing any).
-fn multi_scatter_ok(body: &[Op], var: Slot, eops: &[EOp], fused: &[FusedOp]) -> bool {
-    let mut dsts: Vec<Slot> = Vec::with_capacity(body.len());
-    let mut gathers: Vec<Slot> = Vec::new();
-    for op in body {
-        let (mem, index, value) = match *op {
-            Op::WriteMem {
-                mem, index, value, ..
-            } => (mem, index, value),
-            Op::RmwAdd { mem, index, value } => (mem, index, value),
-            _ => return false,
-        };
-        if !scatter_vectorizable(index, value, var, eops, fused) {
-            return false;
-        }
-        if dsts.contains(&mem) {
-            return false;
-        }
-        dsts.push(mem);
-        operand_gather_chips(index, eops, fused, &mut gathers);
-        operand_gather_chips(value, eops, fused, &mut gathers);
-    }
-    gathers.iter().all(|g| !dsts.contains(g))
-}
-
-/// The vector-eligibility pass: one classification per lowered op.
-/// Runs after lowering (the superinstruction shapes it recognizes are
-/// produced by the peephole) and stores its verdicts in a side table
-/// parallel to `ops`. The flag is a *shape* property of the bytecode;
-/// the interpreter still validates the runtime half of the contract
-/// (slot allocations, integral unit-step bounds, stream aliasing) on
-/// each loop entry and falls back to the scalar loop when it does not
-/// hold.
-pub fn classify_vec(ops: &[Op], eops: &[EOp], fused: &[FusedOp]) -> Vec<VecClass> {
-    ops.iter()
-        .enumerate()
-        .map(|(pc, op)| match *op {
-            Op::RangeSimple {
-                var,
-                step: 1,
-                body,
-                body_len,
-                reduce,
-                ..
-            } => {
-                if body as usize != pc + 1 {
-                    return VecClass::None;
-                }
-                if body_len == 0 {
-                    match reduce {
-                        Some((_, expr)) if reduce_vectorizable(expr, var, fused) => {
-                            VecClass::GatherReduce
-                        }
-                        _ => VecClass::None,
-                    }
-                } else if body_len == 1 && reduce.is_none() {
-                    match ops[body as usize] {
-                        Op::RmwAdd { index, value, .. } | Op::WriteMem { index, value, .. }
-                            if scatter_vectorizable(index, value, var, eops, fused) =>
-                        {
-                            VecClass::Scatter
-                        }
-                        _ => VecClass::None,
-                    }
-                } else if reduce.is_none() {
-                    let span = &ops[body as usize..body as usize + body_len as usize];
-                    if multi_scatter_ok(span, var, eops, fused) {
-                        VecClass::MultiScatter
-                    } else {
-                        VecClass::None
-                    }
-                } else {
-                    VecClass::None
-                }
-            }
-            _ => VecClass::None,
-        })
-        .collect()
-}
-
-/// How an on-chip slot is allocated across the whole program: the
-/// elision pass only trusts a slot whose every `Alloc` agrees on one
-/// word size (and an SRAM kind), because the check it removes guards
-/// against the *live* length at the time of the write.
-#[derive(Clone, Copy, PartialEq)]
-enum AllocState {
-    Unseen,
-    One(usize),
-    Conflict,
-}
-
-/// The check-elision pass: a side table parallel to `ops`, true at a
-/// scatter-write op whose every dynamic access the analysis proves
-/// in-bounds. The proof: the write indexes `dst[v]` with the loop
-/// variable of an enclosing constant-bound `RangeSimple` whose bounds
-/// satisfy `0 <= lo` (integral) and `hi <= K`, where `K` is the single
-/// program-wide allocation size of `dst` (SRAM kinds only). Every
-/// iterate `v = lo + k*step < hi <= K` is then a valid integral index,
-/// so the per-access `index_of` + bounds check in the dispatch loop is
-/// redundant. The interpreter still hoists one runtime guard per loop
-/// entry (`hi <= live length`, `lo >= 0`) so a stale table can
-/// degrade only to the checked path, never to a wild index.
-pub fn compute_elide(ops: &[Op]) -> Vec<bool> {
-    let mut alloc: std::collections::BTreeMap<Slot, AllocState> = std::collections::BTreeMap::new();
-    for op in ops {
-        if let Op::Alloc { slot, kind, size } = *op {
-            let state = alloc.entry(slot).or_insert(AllocState::Unseen);
-            let sized = match kind {
-                MemKind::Sram | MemKind::SparseSram => Some(size),
-                _ => None,
-            };
-            *state = match (*state, sized) {
-                (AllocState::Unseen, Some(k)) => AllocState::One(k),
-                (AllocState::One(k), Some(k2)) if k == k2 => AllocState::One(k),
-                _ => AllocState::Conflict,
-            };
-        }
-    }
-    let mut elide = vec![false; ops.len()];
-    for (pc, op) in ops.iter().enumerate() {
-        let Op::RangeSimple {
-            var,
-            min,
-            max,
-            step,
-            body,
-            body_len,
-            ..
-        } = *op
-        else {
-            continue;
-        };
-        if step < 1 || body as usize != pc + 1 {
-            continue;
-        }
-        let (Operand::Const(lo), Operand::Const(hi)) = (min, max) else {
-            continue;
-        };
-        if !(lo >= 0.0 && lo.fract() == 0.0 && hi.is_finite()) {
-            continue;
-        }
-        for bpc in body as usize..body as usize + body_len as usize {
-            let (mem, index) = match ops[bpc] {
-                Op::WriteMem { mem, index, .. } => (mem, index),
-                Op::RmwAdd { mem, index, .. } => (mem, index),
-                _ => continue,
-            };
-            if index != Operand::Var(var) {
-                continue;
-            }
-            if let Some(AllocState::One(k)) = alloc.get(&mem) {
-                if hi <= *k as f64 {
-                    elide[bpc] = true;
-                }
-            }
-        }
-    }
-    elide
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn var_const_bin_recognizes_two_op_program() {
-        let eops = vec![
-            EOp::VarConstBin {
-                var: 3,
-                c: 1.0,
-                op: BinSOp::Add,
-            },
-            EOp::End,
-        ];
-        assert_eq!(
-            var_const_bin(Operand::Expr(0), &eops),
-            Some((3, 1.0, BinSOp::Add))
-        );
-        assert_eq!(var_const_bin(Operand::Var(3), &eops), None);
-        let longer = vec![
-            EOp::VarConstBin {
-                var: 3,
-                c: 1.0,
-                op: BinSOp::Add,
-            },
-            EOp::Neg,
-            EOp::End,
-        ];
-        assert_eq!(var_const_bin(Operand::Expr(0), &longer), None);
-    }
-
-    #[test]
-    fn scatter_index_rejects_non_add_and_fractional_offsets() {
-        let add = vec![
-            EOp::VarConstBin {
-                var: 0,
-                c: 2.0,
-                op: BinSOp::Add,
-            },
-            EOp::End,
-        ];
-        assert!(scatter_index_ok(Operand::Expr(0), 0, &add));
-        let sub = vec![
-            EOp::VarConstBin {
-                var: 0,
-                c: 2.0,
-                op: BinSOp::Sub,
-            },
-            EOp::End,
-        ];
-        assert!(!scatter_index_ok(Operand::Expr(0), 0, &sub));
-        let frac = vec![
-            EOp::VarConstBin {
-                var: 0,
-                c: 0.5,
-                op: BinSOp::Add,
-            },
-            EOp::End,
-        ];
-        assert!(!scatter_index_ok(Operand::Expr(0), 0, &frac));
-        let huge = vec![
-            EOp::VarConstBin {
-                var: 0,
-                c: 1e18,
-                op: BinSOp::Add,
-            },
-            EOp::End,
-        ];
-        assert!(!scatter_index_ok(Operand::Expr(0), 0, &huge));
-    }
-
-    #[test]
-    fn elide_requires_singleton_alloc_and_const_bounds() {
-        let loop_over = |min: Operand, max: Operand, allocs: Vec<Op>| {
-            let mut ops = allocs;
-            let pc = ops.len();
-            ops.push(Op::RangeSimple {
-                id: 0,
-                var: 0,
-                min,
-                max,
-                step: 1,
-                body: (pc + 1) as u32,
-                body_len: 1,
-                reduce: None,
-            });
-            ops.push(Op::WriteMem {
-                mem: 0,
-                index: Operand::Var(0),
-                value: Operand::Const(1.0),
-                random: false,
-            });
-            ops.push(Op::Halt);
-            (ops, pc + 1)
-        };
-        let alloc = |size| Op::Alloc {
-            slot: 0,
-            kind: MemKind::Sram,
-            size,
-        };
-        // In-bounds constant loop over a singleton alloc: elided.
-        let (ops, wpc) = loop_over(Operand::Const(0.0), Operand::Const(8.0), vec![alloc(8)]);
-        assert!(compute_elide(&ops)[wpc]);
-        // Bound exceeds the allocation: kept.
-        let (ops, wpc) = loop_over(Operand::Const(0.0), Operand::Const(9.0), vec![alloc(8)]);
-        assert!(!compute_elide(&ops)[wpc]);
-        // Conflicting re-allocation sizes: kept.
-        let (ops, wpc) = loop_over(
-            Operand::Const(0.0),
-            Operand::Const(8.0),
-            vec![alloc(8), alloc(16)],
-        );
-        assert!(!compute_elide(&ops)[wpc]);
-        // Non-constant bound: kept.
-        let (ops, wpc) = loop_over(Operand::Const(0.0), Operand::Var(1), vec![alloc(8)]);
-        assert!(!compute_elide(&ops)[wpc]);
-        // Negative lower bound: kept.
-        let (ops, wpc) = loop_over(Operand::Const(-1.0), Operand::Const(8.0), vec![alloc(8)]);
-        assert!(!compute_elide(&ops)[wpc]);
-    }
 }

@@ -13,15 +13,14 @@
 //!   counters all share one frame-based protocol), and
 //! - every expression tree becomes a postfix [`EOp`] program evaluated
 //!   with a small value stack, with `Select` lowered to conditional
-//!   jumps so the untaken side is skipped exactly as the tree walker
-//!   skips it.
+//!   jumps so the untaken side is skipped exactly as the reference
+//!   engine skips it.
 //!
 //! [`crate::Machine::run`] then executes the op vector with a program
 //! counter and a dense frame stack — no recursion, no per-iteration
-//! closure, branch-predictable dispatch. The recursive resolved-tree
-//! walker survives as [`crate::Machine::run_tree`] and the original
-//! string-keyed engine as [`crate::ReferenceMachine`]; differential
-//! tests hold all three to byte-identical DRAM images and identical
+//! closure, branch-predictable dispatch. The original string-keyed
+//! engine survives as [`crate::ReferenceMachine`]; differential tests
+//! hold both engines to byte-identical DRAM images and identical
 //! [`crate::ExecStats`].
 //!
 //! Compilation is pure: a [`CompiledProgram`] depends only on the source
@@ -464,9 +463,9 @@ pub enum Op {
 }
 
 /// A fully compiled Spatial program: the source, its symbol table, the
-/// resolved (tree) form kept for the oracle engine, and the flat
-/// bytecode. Immutable once built — share it behind [`Arc`] and bind as
-/// many [`Machine`]s to it as needed.
+/// resolved form (whose arena and DRAM layouts size every machine),
+/// and the flat bytecode. Immutable once built — share it behind
+/// [`Arc`] and bind as many [`Machine`]s to it as needed.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     source: SpatialProgram,
@@ -480,17 +479,6 @@ pub struct CompiledProgram {
     /// (copy-on-write), so creating a machine never allocates or zeroes
     /// the input segment.
     zero_input: Arc<Vec<f64>>,
-    /// Per-op vector-eligibility classification (parallel to `ops`),
-    /// computed by [`crate::analysis::classify_vec`] after lowering.
-    /// The interpreter's vector tier consults this flag before
-    /// attempting a chunked run, so ineligible loops never pay for
-    /// runtime shape analysis.
-    vec: Vec<VecClass>,
-    /// Per-op bounds-check-elision flags (parallel to `ops`), computed
-    /// by [`crate::analysis::compute_elide`]: true at a scatter write
-    /// every dynamic access of which the static analysis proves within
-    /// its destination's allocated extent.
-    elide: Vec<bool>,
     /// Half-open `[start, end)` op spans of each top-level resolved
     /// statement, in statement order — the correspondence the effect
     /// analysis uses to reason about prefix/body/suffix regions of a
@@ -498,36 +486,13 @@ pub struct CompiledProgram {
     stmt_spans: Vec<(OpId, OpId)>,
 }
 
-/// Vector-eligibility classification of one lowered op: whether the
-/// peephole recognized a shape the data-parallel tier
-/// ([`crate::vector`]) can chunk. The flag is a *shape* property of the
-/// bytecode; the interpreter still validates the runtime half of the
-/// contract (slot allocations, integral unit-step bounds, stream
-/// aliasing) on each loop entry and falls back to the scalar loop when
-/// it does not hold.
+/// The vector tier an op may run on. The engine has no vector tier,
+/// so [`CompiledProgram::vec_class`] always returns [`VecClass::None`];
+/// the type stays so per-op tier counts keep compiling and read zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VecClass {
-    /// Not a vectorizable shape.
+    /// Runs on the scalar engine (the only tier).
     None,
-    /// An empty-body unit-step [`Op::RangeSimple`] reducing a
-    /// unit-stride gather shape: a plain gather, the
-    /// scale-by-gathered-value [`FusedOp::BinGather`], or the SpMV
-    /// dot-product [`FusedOp::BinGatherInd`] — all indexed by the loop
-    /// variable itself.
-    GatherReduce,
-    /// A unit-step [`Op::RangeSimple`] whose single body op is an
-    /// on-chip scatter write ([`Op::WriteMem`]/[`Op::RmwAdd`]) with a
-    /// dense (loop-variable, optionally constant-offset) or
-    /// unit-stride-gathered index and a chunkable value operand — the
-    /// Gustavson scatter-accumulate inner loop of SpMSpM, or a dense
-    /// fill/accumulate run.
-    Scatter,
-    /// A unit-step [`Op::RangeSimple`] whose body is *several* scatter
-    /// writes, each individually [`VecClass::Scatter`]-shaped, with
-    /// pairwise-distinct destination slots none of which any statement
-    /// gathers from — the multi-output fill loops of multi-statement
-    /// kernel bodies (classified by [`crate::analysis::classify_vec`]).
-    MultiScatter,
 }
 
 impl CompiledProgram {
@@ -559,8 +524,6 @@ impl CompiledProgram {
             ops, eops, fused, ..
         } = lowering;
         let zero_input = Arc::new(vec![0.0; resolved.dram_layout.input_words]);
-        let vec = crate::analysis::classify_vec(&ops, &eops, &fused);
-        let elide = crate::analysis::compute_elide(&ops);
         let compiled = CompiledProgram {
             source: program.clone(),
             syms,
@@ -569,8 +532,6 @@ impl CompiledProgram {
             eops,
             fused,
             zero_input,
-            vec,
-            elide,
             stmt_spans,
         };
         // Every compile is verified in debug builds: a lowering bug
@@ -609,7 +570,7 @@ impl CompiledProgram {
         &self.syms
     }
 
-    /// The resolved statement tree (the `run_tree` oracle input).
+    /// The resolved statement tree the bytecode was lowered from.
     pub fn resolved(&self) -> &ResolvedProgram {
         &self.resolved
     }
@@ -629,18 +590,21 @@ impl CompiledProgram {
         &self.fused
     }
 
-    /// The vector-eligibility classification of the op at `pc` (see
-    /// [`VecClass`]).
+    /// The vector tier the op at `pc` may run on: always
+    /// [`VecClass::None`], because the engine has no vector tier. Kept
+    /// so callers that count tier yield per op (the end-to-end
+    /// benchmark's static counts) keep compiling and read zero.
     #[inline(always)]
-    pub fn vec_class(&self, pc: usize) -> VecClass {
-        self.vec[pc]
+    pub fn vec_class(&self, _pc: usize) -> VecClass {
+        VecClass::None
     }
 
-    /// Whether the scatter write at `pc` carries a statically proven
-    /// in-bounds guarantee (see [`crate::analysis::compute_elide`]).
+    /// Whether the op at `pc` runs without its bounds check: always
+    /// `false`, because the engine checks every access. Kept for the
+    /// same callers as [`CompiledProgram::vec_class`].
     #[inline(always)]
-    pub fn elide_at(&self, pc: usize) -> bool {
-        self.elide[pc]
+    pub fn elide_at(&self, _pc: usize) -> bool {
+        false
     }
 
     /// Half-open `[start, end)` op spans of each top-level resolved
@@ -1278,50 +1242,31 @@ mod tests {
     use crate::reference::ReferenceMachine;
     use crate::ExecStats;
 
-    /// Runs a program on all three engines (bytecode, resolved tree,
-    /// string-keyed reference) and asserts byte-identical DRAM plus
-    /// identical stats or identical errors.
-    fn assert_three_engines_agree(
+    /// Runs a program on the bytecode engine and the string-keyed
+    /// reference and asserts byte-identical DRAM plus identical stats
+    /// or identical errors.
+    fn assert_engines_agree(
         p: &SpatialProgram,
         writes: &[(&str, Vec<f64>)],
     ) -> Result<ExecStats, RunError> {
         let mut bytecode = Machine::new(p);
-        for (name, data) in writes {
-            bytecode.write_dram(name, data).unwrap();
-        }
-        let mut tree = bytecode.clone();
         let mut reference = ReferenceMachine::new(p);
         for (name, data) in writes {
+            bytecode.write_dram(name, data).unwrap();
             reference.write_dram(name, data).unwrap();
         }
         let bc_result = bytecode.run(p);
-        let tree_result = tree.run_tree(p);
         let ref_result = reference.run(p);
-        assert_eq!(bc_result, tree_result, "bytecode vs tree result");
         assert_eq!(bc_result, ref_result, "bytecode vs reference result");
         for d in &p.drams {
-            let a: Vec<u64> = bytecode
-                .dram(&d.name)
-                .unwrap()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            let t: Vec<u64> = tree
-                .dram(&d.name)
-                .unwrap()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            let r: Vec<u64> = reference
-                .dram(&d.name)
-                .unwrap()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(a, t, "DRAM {} bytecode vs tree", d.name);
-            assert_eq!(a, r, "DRAM {} bytecode vs reference", d.name);
+            let bits = |m: &[f64]| -> Vec<u64> { m.iter().map(|v| v.to_bits()).collect() };
+            assert_eq!(
+                bits(bytecode.dram(&d.name).unwrap()),
+                bits(reference.dram(&d.name).unwrap()),
+                "DRAM {} bytecode vs reference",
+                d.name
+            );
         }
-        assert_eq!(bytecode.stats(), tree.stats(), "stats bytecode vs tree");
         assert_eq!(
             bytecode.stats(),
             reference.stats(),
@@ -1369,112 +1314,6 @@ mod tests {
         assert_eq!((body, body_len), (1, 1));
         assert!(reduce.is_none());
         assert!(matches!(c.ops()[2], Op::Halt));
-    }
-
-    fn range_simple_pc(c: &CompiledProgram) -> usize {
-        c.ops()
-            .iter()
-            .position(|o| matches!(o, Op::RangeSimple { .. }))
-            .expect("program lowers a RangeSimple superinstruction")
-    }
-
-    #[test]
-    fn vec_classifier_tags_spmv_shaped_reduce() {
-        // The CSR SpMV inner loop: empty body, `vals[j] * x[crd[j]]`
-        // reduce operand (the BinGatherInd fused shape).
-        let mut p = SpatialProgram::new("t");
-        p.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("vals_s", MemKind::Sram, 8)));
-        p.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("crd_s", MemKind::Sram, 8)));
-        p.accel.push(SpatialStmt::Alloc(MemDecl::new(
-            "x_s",
-            MemKind::SparseSram,
-            8,
-        )));
-        p.accel.push(SpatialStmt::Reduce {
-            id: 0,
-            reg: "acc".into(),
-            counter: Counter::range_to("j", SExpr::Const(8.0)),
-            par: 1,
-            body: vec![],
-            expr: SExpr::mul(
-                SExpr::read("vals_s", SExpr::var("j")),
-                SExpr::read_random("x_s", SExpr::read("crd_s", SExpr::var("j"))),
-            ),
-        });
-        p.assign_ids();
-        let c = CompiledProgram::compile(&p);
-        assert_eq!(c.vec_class(range_simple_pc(&c)), VecClass::GatherReduce);
-    }
-
-    #[test]
-    fn vec_classifier_tags_scatter_loop() {
-        // The SpMSpM accumulation loop: one-statement RmwAdd body with
-        // a gathered index and a splat-times-gather value.
-        let mut p = SpatialProgram::new("t");
-        p.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("acc_s", MemKind::Sram, 16)));
-        p.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("crd_s", MemKind::Sram, 8)));
-        p.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("vals_s", MemKind::Sram, 8)));
-        p.accel.push(SpatialStmt::Bind {
-            var: "vb".into(),
-            value: SExpr::Const(2.5),
-        });
-        p.accel.push(range_loop(
-            0,
-            "j",
-            8.0,
-            vec![SpatialStmt::RmwAdd {
-                mem: "acc_s".into(),
-                index: SExpr::read("crd_s", SExpr::var("j")),
-                value: SExpr::mul(SExpr::var("vb"), SExpr::read("vals_s", SExpr::var("j"))),
-            }],
-        ));
-        p.assign_ids();
-        let c = CompiledProgram::compile(&p);
-        assert_eq!(c.vec_class(range_simple_pc(&c)), VecClass::Scatter);
-    }
-
-    #[test]
-    fn vec_classifier_rejects_non_unit_stride_shapes() {
-        // A reduce operand that is an expression program (not a gather
-        // in the loop variable) stays scalar.
-        let mut p = SpatialProgram::new("t");
-        p.accel.push(SpatialStmt::Reduce {
-            id: 0,
-            reg: "acc".into(),
-            counter: Counter::range_to("j", SExpr::Const(8.0)),
-            par: 1,
-            body: vec![],
-            expr: SExpr::add(SExpr::var("j"), SExpr::Const(1.0)),
-        });
-        p.assign_ids();
-        let c = CompiledProgram::compile(&p);
-        assert_eq!(c.vec_class(range_simple_pc(&c)), VecClass::None);
-
-        // A scatter whose value multiplies by the loop variable itself
-        // (`j * vals[j]`): the splat side must be loop-invariant.
-        let mut p2 = SpatialProgram::new("t");
-        p2.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("acc_s", MemKind::Sram, 16)));
-        p2.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("vals_s", MemKind::Sram, 8)));
-        p2.accel.push(range_loop(
-            0,
-            "j",
-            8.0,
-            vec![SpatialStmt::RmwAdd {
-                mem: "acc_s".into(),
-                index: SExpr::var("j"),
-                value: SExpr::mul(SExpr::var("j"), SExpr::read("vals_s", SExpr::var("j"))),
-            }],
-        ));
-        p2.assign_ids();
-        let c2 = CompiledProgram::compile(&p2);
-        assert_eq!(c2.vec_class(range_simple_pc(&c2)), VecClass::None);
     }
 
     #[test]
@@ -1526,7 +1365,7 @@ mod tests {
         };
         assert_eq!(body, 1, "Next jumps to the first body op");
         assert!(matches!(c.ops()[6], Op::Halt));
-        assert_three_engines_agree(&p, &[]).unwrap();
+        assert_engines_agree(&p, &[]).unwrap();
     }
 
     #[test]
@@ -1556,7 +1395,7 @@ mod tests {
             .eops()
             .iter()
             .any(|e| matches!(e, EOp::VarConstBin { .. })));
-        assert_three_engines_agree(&p, &[]).unwrap();
+        assert_engines_agree(&p, &[]).unwrap();
     }
 
     /// Fusion must not consume ops a `Select` jump target lands past.
@@ -1592,7 +1431,7 @@ mod tests {
             ),
         });
         p.assign_ids();
-        assert_three_engines_agree(&p, &[]).unwrap();
+        assert_engines_agree(&p, &[]).unwrap();
         let mut m = Machine::new(&p);
         m.run(&p).unwrap();
         assert_eq!(m.dram("out").unwrap()[0], 42.0);
@@ -1619,7 +1458,7 @@ mod tests {
             .filter(|e| matches!(e, EOp::Jump { .. }))
             .count();
         assert_eq!((branches, jumps), (1, 1));
-        let stats = assert_three_engines_agree(&p, &[]).unwrap();
+        let stats = assert_engines_agree(&p, &[]).unwrap();
         // Only the mux itself is an ALU op; the untaken side is skipped.
         assert_eq!(stats.alu_ops, 1);
         let mut m = Machine::new(&p);
@@ -1633,7 +1472,7 @@ mod tests {
         p.add_dram("out", 1);
         p.accel.push(range_loop(0, "i", 5.0, vec![]));
         p.assign_ids();
-        let stats = assert_three_engines_agree(&p, &[]).unwrap();
+        let stats = assert_engines_agree(&p, &[]).unwrap();
         assert_eq!(stats.trips(0), 5);
     }
 
@@ -1664,7 +1503,7 @@ mod tests {
             value: SExpr::Const(2.0),
         });
         p.assign_ids();
-        let stats = assert_three_engines_agree(&p, &[]).unwrap();
+        let stats = assert_engines_agree(&p, &[]).unwrap();
         assert_eq!(stats.trips(0), 0);
         let mut m = Machine::new(&p);
         m.run(&p).unwrap();
@@ -1695,7 +1534,7 @@ mod tests {
             value: SExpr::RegRead("acc".into()),
         });
         p.assign_ids();
-        assert_three_engines_agree(&p, &[]).unwrap();
+        assert_engines_agree(&p, &[]).unwrap();
         let mut m = Machine::new(&p);
         m.run(&p).unwrap();
         assert_eq!(m.dram("out").unwrap()[0], 4.5);
@@ -1736,7 +1575,7 @@ mod tests {
             value: SExpr::RegRead("acc".into()),
         });
         p.assign_ids();
-        let stats = assert_three_engines_agree(&p, &[]).unwrap();
+        let stats = assert_engines_agree(&p, &[]).unwrap();
         assert_eq!(stats.trips(0), 3);
         assert_eq!(stats.trips(1), 12);
         let mut m = Machine::new(&p);
@@ -1771,7 +1610,7 @@ mod tests {
             value: SExpr::RegRead("acc".into()),
         });
         p.assign_ids();
-        let stats = assert_three_engines_agree(&p, &[]).unwrap();
+        let stats = assert_engines_agree(&p, &[]).unwrap();
         for d in 0..DEPTH {
             assert_eq!(stats.trips(d), 1, "depth {d}");
         }
@@ -1809,7 +1648,7 @@ mod tests {
             value: SExpr::Const(3.0),
         });
         p.assign_ids();
-        let stats = assert_three_engines_agree(&p, &[]).unwrap();
+        let stats = assert_engines_agree(&p, &[]).unwrap();
         assert_eq!(stats.scan_emits, 0);
         assert_eq!(stats.scan_bits, 8);
     }
@@ -1838,7 +1677,7 @@ mod tests {
             }],
         ));
         p.assign_ids();
-        let err = assert_three_engines_agree(&p, &[]).unwrap_err();
+        let err = assert_engines_agree(&p, &[]).unwrap_err();
         assert_eq!(err, RunError::FifoUnderflow("f".into()));
     }
 

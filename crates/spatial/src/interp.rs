@@ -21,13 +21,12 @@
 //! folded back into the string-keyed [`ExecStats`] shape when
 //! [`Machine::run`] finishes.
 //!
-//! Two older engines survive as differential-testing oracles: the PR-1
-//! recursive resolved-tree walker as [`Machine::run_tree`] (same
-//! machine state, same compiled artifact) and the original name-keyed
-//! tree walker as [`crate::ReferenceMachine`]. Differential tests
-//! assert all three produce byte-identical DRAM contents and identical
-//! [`ExecStats`], and `cargo bench --bench interp` measures the
-//! speedups.
+//! The original name-keyed tree walker survives as
+//! [`crate::ReferenceMachine`], an independent oracle that shares no
+//! state or compiled artifact with [`Machine`]. Differential tests
+//! assert both engines produce byte-identical DRAM contents and
+//! identical [`ExecStats`], and `cargo bench --bench interp` measures
+//! the speedup.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -36,14 +35,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::bytecode::{CompiledProgram, EOp, FusedOp, GatherRef, Op, OpId, Operand, VecClass};
+use crate::bytecode::{CompiledProgram, EOp, FusedOp, GatherRef, Op, OpId, Operand};
 use crate::faults;
 use crate::ir::{BinSOp, MemKind, ScanOp, SpatialProgram};
-use crate::resolve::{
-    bit_words_for, ExprId, ResolvedCounter, ResolvedExpr, ResolvedProgram, ResolvedStmt, Slot,
-    SymbolTable,
-};
-use crate::vector;
+use crate::resolve::{bit_words_for, Slot, SymbolTable};
 
 /// Errors raised while executing a Spatial program.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,9 +58,9 @@ pub enum RunError {
     FifoUnderflow(String),
     /// A variable was read before being bound.
     UnboundVar(String),
-    /// A negative index or length was computed.
+    /// A negative or NaN index or length was computed.
     NegativeIndex {
-        /// Where the negative value appeared.
+        /// Where the negative (or NaN) value appeared.
         context: String,
         /// The value.
         value: f64,
@@ -152,11 +147,11 @@ impl CancelFlag {
 ///
 /// A "step" is one loop-body execution — exactly what
 /// [`ExecStats::node_trips`] counts, summed over nodes — so the
-/// completes-or-aborts predicate is identical across all three
-/// execution engines: a run finishes iff its total trip count fits the
-/// fuel. Budgets are armed at [`Machine::run`]/[`Machine::run_tree`]
-/// entry and persist on the machine until [`Machine::reset`] (pool
-/// check-in clears them, so recycled machines never inherit limits).
+/// completes-or-aborts predicate is identical across both execution
+/// engines: a run finishes iff its total trip count fits the fuel.
+/// Budgets are armed at [`Machine::run`] entry and persist on the
+/// machine until [`Machine::reset`] (pool check-in clears them, so
+/// recycled machines never inherit limits).
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
     /// Maximum loop-body executions ("fuel"); `None` = unlimited.
@@ -212,12 +207,6 @@ impl RunBudget {
 /// == 0`, i.e. every 4096 steps, keeping `Instant::now()` and the shared
 /// atomic off the per-iteration path.
 pub(crate) const INTERRUPT_MASK: u64 = 0xFFF;
-
-/// Default for [`Machine::set_elide_mode`]: on unless
-/// `STARDUST_ELIDE=0` (mirrors the vector tier's env toggle).
-fn elide_env_default() -> bool {
-    !matches!(std::env::var("STARDUST_ELIDE"), Ok(v) if v == "0")
-}
 
 /// What hitting zero fuel means: the step budget, or a one-shot
 /// injected fault from the [`crate::faults`] harness min-folded into
@@ -311,7 +300,7 @@ impl fmt::Display for RunError {
             RunError::FifoUnderflow(m) => write!(f, "dequeue from empty FIFO {m}"),
             RunError::UnboundVar(v) => write!(f, "unbound variable {v}"),
             RunError::NegativeIndex { context, value } => {
-                write!(f, "negative index {value} in {context}")
+                write!(f, "negative or NaN index {value} in {context}")
             }
             RunError::ImageMismatch => {
                 write!(
@@ -763,91 +752,6 @@ enum HotValue {
     VarConstBin { var: Slot, c: f64, op: BinSOp },
 }
 
-/// Per-statement index plan for the chunked scatter executors: how a
-/// whole lane of destination indices materializes.
-#[derive(Debug, Clone, Copy)]
-enum IxPlan {
-    /// Dense run: the loop variable itself indexes the destination.
-    Iota,
-    /// Dense run at a constant offset: `dst[v + c]`. Only `Add` with a
-    /// non-negative integral `c` qualifies — those are exactly the
-    /// cases where `index_of(op.apply(v, c))` equals `v as usize + c`
-    /// for every in-window iteration.
-    OffIota(usize),
-    /// Scattered run: a unit-stride gather produces indices.
-    Stream(HotGather),
-}
-
-/// Per-statement value plan for the chunked scatter executors.
-#[derive(Debug, Clone, Copy)]
-enum ValPlan {
-    /// Loop-invariant value (constant or pre-read variable).
-    Splat(f64),
-    /// The loop variable itself.
-    Iota,
-    /// `v op c` computed per lane from the loop variable.
-    IotaBin { op: BinSOp, c: f64 },
-    /// A unit-stride gathered stream.
-    Stream(HotGather),
-    /// `x op stream[v]` with loop-invariant `x`.
-    SplatBin { x: f64, op: BinSOp, g: HotGather },
-}
-
-impl IxPlan {
-    /// Per-iteration statistic increments — compile-time constants of
-    /// the plan, charged per chunk in one multiply.
-    fn stats(&self) -> (u64, u64, u64) {
-        match self {
-            IxPlan::Iota => (0, 0, 0),
-            IxPlan::OffIota(_) => (0, 0, 1),
-            IxPlan::Stream(g) => (1, g.shuffle as u64, 0),
-        }
-    }
-
-    /// The gather stream backing this plan, if any.
-    fn stream(&self) -> Option<&HotGather> {
-        match self {
-            IxPlan::Stream(g) => Some(g),
-            _ => None,
-        }
-    }
-}
-
-impl ValPlan {
-    /// Per-iteration `(sram_reads, shuffles, alu_ops)` increments.
-    fn stats(&self) -> (u64, u64, u64) {
-        match self {
-            ValPlan::Splat(_) | ValPlan::Iota => (0, 0, 0),
-            ValPlan::IotaBin { .. } => (0, 0, 1),
-            ValPlan::Stream(g) => (1, g.shuffle as u64, 0),
-            ValPlan::SplatBin { g, .. } => (1, g.shuffle as u64, 1),
-        }
-    }
-
-    /// The gather stream backing this plan, if any.
-    fn stream(&self) -> Option<&HotGather> {
-        match self {
-            ValPlan::Stream(g) | ValPlan::SplatBin { g, .. } => Some(g),
-            _ => None,
-        }
-    }
-}
-
-/// One statement of a multi-scatter body: the hoisted destination
-/// region, the hot operand shapes (for the scalar step), and the lane
-/// plans (for the chunked path).
-struct ScatterStmt {
-    dst: Slot,
-    woff: usize,
-    len: usize,
-    hindex: HotValue,
-    hvalue: HotValue,
-    ix_plan: IxPlan,
-    val_plan: ValPlan,
-    accumulate: bool,
-    dst_shuffle: bool,
-}
-
 /// Register-batched statistics for the scatter superinstruction,
 /// flushed to the dense counters on every loop exit path.
 #[derive(Debug, Default, Clone, Copy)]
@@ -970,7 +874,7 @@ impl ScanBuf {
         }
     }
 
-    /// Fast-forward for the vector tier's chunked scan: the next set
+    /// Fast-forward for the `Scan1Simple` superinstruction: the next set
     /// bit of `a` at or after `from`, skipping zero words whole and
     /// locating set bits with `trailing_zeros` instead of a per-bit
     /// probe. Purely a lookup — non-set positions have no observable
@@ -991,9 +895,9 @@ impl ScanBuf {
         None
     }
 
-    /// Fast-forward for the chunked two-input scan: returns the index
-    /// of the next *combined* bit at or after `from` (or `dim` when
-    /// none remains) plus the number of `a` and `b` bits passed over in
+    /// Fast-forward for the `Scan2Simple` superinstruction: returns the
+    /// index of the next *combined* bit at or after `from` (or `dim`
+    /// when none remains) plus the number of `a` and `b` bits passed over in
     /// `[from, next)` — the position-counter advances the linear probe
     /// would have made one bit at a time, batched with `count_ones`
     /// per word.
@@ -1202,7 +1106,9 @@ fn trimmed(counts: &[u64]) -> Vec<u64> {
 
 #[inline]
 fn index_of(v: f64, context: impl FnOnce() -> String) -> Result<usize, RunError> {
-    if v < 0.0 {
+    // NaN fails too: `NaN as usize` is 0, which would silently
+    // address element 0.
+    if v.is_nan() || v < 0.0 {
         return Err(RunError::NegativeIndex {
             context: context(),
             value: v,
@@ -1325,20 +1231,6 @@ pub struct Machine {
     /// shard order. `None` (the default) costs one untaken branch per
     /// DRAM store.
     write_log: Option<Vec<u64>>,
-    /// Whether the data-parallel tier (see [`crate::vector`]) is
-    /// active. On by default (`STARDUST_VECTOR=0` disables);
-    /// runtime-togglable via [`Machine::set_vector_mode`] so one
-    /// process measures scalar vs vector on identical state. Results,
-    /// statistics, and abort points are bit-identical either way.
-    vector_enabled: bool,
-    /// Whether the dispatch loop consults the static
-    /// bounds-check-elision table (see [`crate::analysis`]). On by
-    /// default (`STARDUST_ELIDE=0` disables); runtime-togglable via
-    /// [`Machine::set_elide_mode`]. Results, statistics, and abort
-    /// points are bit-identical either way — only the per-access
-    /// check is skipped, and only under a hoisted runtime guard that
-    /// re-establishes the proof's premises.
-    elide_enabled: bool,
 }
 
 /// A copy of a [`Machine`]'s execution state — DRAM images, the flat
@@ -1423,8 +1315,6 @@ impl Machine {
             interrupts: false,
             poisoned: false,
             write_log: None,
-            vector_enabled: vector::env_default(),
-            elide_enabled: elide_env_default(),
         };
         m.grow_state();
         let compiled = Arc::clone(&m.compiled);
@@ -1592,7 +1482,7 @@ impl Machine {
     }
 
     /// Sets the resource budget for subsequent runs. The budget is
-    /// armed at each [`Machine::run`]/[`Machine::run_tree`] entry and
+    /// armed at each [`Machine::run`] entry and
     /// survives across runs until [`Machine::reset`] (or pool
     /// check-in) clears it back to unlimited.
     pub fn set_budget(&mut self, budget: RunBudget) {
@@ -1602,35 +1492,6 @@ impl Machine {
     /// The configured resource budget.
     pub fn budget(&self) -> &RunBudget {
         &self.budget
-    }
-
-    /// Whether the data-parallel (vector) tier is active (see
-    /// [`crate::vector`]).
-    pub fn vector_mode(&self) -> bool {
-        self.vector_enabled
-    }
-
-    /// Enables or disables the vector tier at runtime. Execution
-    /// results, `ExecStats`, and budget-abort points are bit-identical
-    /// in both modes — the toggle exists so benchmarks and differential
-    /// suites can measure scalar vs vector in one process.
-    pub fn set_vector_mode(&mut self, on: bool) {
-        self.vector_enabled = on;
-    }
-
-    /// Whether statically-proven in-bounds accesses skip the
-    /// per-access bounds check (see [`crate::analysis`]).
-    pub fn elide_mode(&self) -> bool {
-        self.elide_enabled
-    }
-
-    /// Enables or disables bounds-check elision at runtime. Execution
-    /// results, `ExecStats`, and budget-abort points are bit-identical
-    /// in both modes — the toggle exists so benchmarks and
-    /// differential suites can measure checked vs elided in one
-    /// process.
-    pub fn set_elide_mode(&mut self, on: bool) {
-        self.elide_enabled = on;
     }
 
     /// Whether the last run aborted — with a structured error or a
@@ -2074,42 +1935,11 @@ impl Machine {
         Ok(self.stats.clone())
     }
 
-    /// Executes the program on the recursive resolved-tree engine (the
-    /// PR-1 walker). Semantically identical to [`Machine::run`] — it is
-    /// kept as a differential-testing oracle and benchmark baseline for
-    /// the bytecode engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RunError`] encountered.
-    pub fn run_tree(&mut self, program: &SpatialProgram) -> Result<ExecStats, RunError> {
-        self.relink(program);
-        let prog = Arc::clone(&self.compiled);
-        self.node_stack.clear();
-        self.frames.clear();
-        self.vstack.clear();
-        self.scan_depth = 0;
-        self.arm_budget();
-        self.poisoned = true;
-        let result = (|| {
-            let resolved = prog.resolved();
-            for stmt in &resolved.body {
-                self.exec(resolved, stmt)?;
-            }
-            Ok(())
-        })();
-        self.stats = self.dense.fold(&self.syms);
-        result?;
-        self.poisoned = false;
-        Ok(self.stats.clone())
-    }
-
     fn current_node(&self) -> Option<usize> {
-        // `node_stack` wins over `frames`: the tree walker uses it
-        // exclusively, and in the bytecode engine only `RangeSimple`
-        // superinstructions push it — always after (inside) any framed
-        // loop, and nested superinstructions push in nesting order — so
-        // the last entry is the innermost active loop.
+        // `node_stack` wins over `frames`: only superinstructions push
+        // it — always after (inside) any framed loop, and nested
+        // superinstructions push in nesting order — so the last entry
+        // is the innermost active loop.
         self.node_stack
             .last()
             .copied()
@@ -2128,7 +1958,7 @@ impl Machine {
     }
 
     /// Dequeues one element, counting the dequeue before the slot check
-    /// exactly as the tree engines do.
+    /// exactly as the reference engine does.
     #[inline(always)]
     fn deq_value(&mut self, fifo: Slot) -> Result<f64, RunError> {
         self.dense.fifo_deqs += 1;
@@ -2144,56 +1974,10 @@ impl Machine {
         }
     }
 
-    fn eval(&mut self, p: &ResolvedProgram, id: ExprId) -> Result<f64, RunError> {
-        match p.expr(id) {
-            ResolvedExpr::Const(c) => Ok(c),
-            ResolvedExpr::Var(v) => self.env[v as usize]
-                .ok_or_else(|| RunError::UnboundVar(self.syms.var_name(v).to_string())),
-            ResolvedExpr::RegRead(r) => self.reg_value(r),
-            ResolvedExpr::Deq(f) => self.deq_value(f),
-            ResolvedExpr::ReadMem {
-                chip,
-                dram,
-                index,
-                random,
-            } => {
-                let ix = self.eval(p, index)?;
-                self.read_mem_value(chip, dram, ix, random)
-            }
-            ResolvedExpr::Neg(inner) => {
-                let v = self.eval(p, inner)?;
-                self.dense.alu_ops += 1;
-                Ok(-v)
-            }
-            ResolvedExpr::Binary { op, lhs, rhs } => {
-                let a = self.eval(p, lhs)?;
-                let b = self.eval(p, rhs)?;
-                self.dense.alu_ops += 1;
-                Ok(op.apply(a, b))
-            }
-            ResolvedExpr::Select {
-                cond,
-                if_true,
-                if_false,
-            } => {
-                let c = self.eval(p, cond)?;
-                self.dense.alu_ops += 1;
-                // Both sides are evaluated in hardware (they are wires);
-                // evaluate lazily here only to avoid spurious OOB on the
-                // untaken side, which a mux masks out.
-                if c != 0.0 {
-                    self.eval(p, if_true)
-                } else {
-                    self.eval(p, if_false)
-                }
-            }
-        }
-    }
-
-    /// Shared `mem[index]` read used by both expression engines:
-    /// on-chip first, then the SparseDRAM random-read fallback. `ix` is
-    /// the already-evaluated (f64) index. The on-chip fast path is a
-    /// bounds check plus one arena load.
+    /// Shared `mem[index]` read used by the expression interpreter and
+    /// the fused operand shapes: on-chip first, then the SparseDRAM
+    /// random-read fallback. `ix` is the already-evaluated (f64) index.
+    /// The on-chip fast path is a bounds check plus one arena load.
     #[cfg_attr(not(debug_assertions), inline(always))]
     #[cfg_attr(debug_assertions, inline(never))]
     fn read_mem_value(
@@ -2279,8 +2063,8 @@ impl Machine {
         Ok(())
     }
 
-    // --- Statement executors shared by the tree walker and the
-    // --- bytecode dispatch loop. Operands are already evaluated.
+    // --- Statement executors shared by the dispatch loop and the
+    // --- superinstructions. Operands are already evaluated.
 
     fn do_alloc(&mut self, slot: Slot, kind: MemKind, size: usize) -> Result<(), RunError> {
         if self.alloc_fuel == 0 {
@@ -2650,248 +2434,6 @@ impl Machine {
         result
     }
 
-    fn exec(&mut self, p: &ResolvedProgram, stmt: &ResolvedStmt) -> Result<(), RunError> {
-        match stmt {
-            ResolvedStmt::Alloc { slot, kind, size } => self.do_alloc(*slot, *kind, *size),
-            ResolvedStmt::Bind { var, value } => {
-                let v = self.eval(p, *value)?;
-                self.env[*var as usize] = Some(v);
-                Ok(())
-            }
-            ResolvedStmt::Load {
-                dst,
-                src,
-                start,
-                end,
-            } => {
-                let s = self.eval(p, *start)?;
-                let e = self.eval(p, *end)?;
-                self.do_load(*dst, *src, s, e)
-            }
-            ResolvedStmt::Store {
-                dst,
-                offset,
-                src,
-                len,
-            } => {
-                let off = self.eval(p, *offset)?;
-                let off = index_of(off, || "store offset".to_string())?;
-                let n = self.eval(p, *len)?;
-                let n = index_of(n, || "store len".to_string())?;
-                self.do_store(*dst, off, *src, n)
-            }
-            ResolvedStmt::StreamStore {
-                dst,
-                offset,
-                fifo,
-                len,
-            } => {
-                let off = self.eval(p, *offset)?;
-                let off = index_of(off, || "stream store offset".to_string())?;
-                let n = self.eval(p, *len)?;
-                let n = index_of(n, || "stream store len".to_string())?;
-                self.do_stream_store(*dst, off, *fifo, n)
-            }
-            ResolvedStmt::StoreScalar { dst, index, value } => {
-                let ix = self.eval(p, *index)?;
-                let ix = index_of(ix, || "scalar store index".to_string())?;
-                let v = self.eval(p, *value)?;
-                self.do_store_scalar(*dst, ix, v)
-            }
-            ResolvedStmt::WriteMem {
-                mem,
-                index,
-                value,
-                random,
-            } => {
-                let ix = self.eval(p, *index)?;
-                let ix = index_of(ix, || self.syms.chip_name(*mem).to_string())?;
-                let v = self.eval(p, *value)?;
-                self.write_on_chip(*mem, ix, v, *random, false)
-            }
-            ResolvedStmt::RmwAdd { mem, index, value } => {
-                let ix = self.eval(p, *index)?;
-                let ix = index_of(ix, || self.syms.chip_name(*mem).to_string())?;
-                let v = self.eval(p, *value)?;
-                self.write_on_chip(*mem, ix, v, true, true)
-            }
-            ResolvedStmt::SetReg { reg, value } => {
-                let v = self.eval(p, *value)?;
-                self.do_set_reg(*reg, v)
-            }
-            ResolvedStmt::Enq { fifo, value } => {
-                let v = self.eval(p, *value)?;
-                self.do_enq(*fifo, v)
-            }
-            ResolvedStmt::GenBitVector {
-                dst,
-                src,
-                src_start,
-                count,
-                dim,
-            } => {
-                let n = self.eval(p, *count)?;
-                let n = index_of(n, || "genbv count".to_string())?;
-                let d = self.eval(p, *dim)?;
-                let d = index_of(d, || "genbv dim".to_string())?;
-                let s = self.eval(p, *src_start)?;
-                let s = index_of(s, || "genbv start".to_string())?;
-                self.do_gen_bit_vector(*dst, *src, s, n, d)
-            }
-            ResolvedStmt::Foreach { id, counter, body } => {
-                self.node_stack.push(*id);
-                let result = self.run_counter(p, counter, |m| {
-                    m.charge_step()?;
-                    m.dense.node_trips[*id] += 1;
-                    for s in body {
-                        m.exec(p, s)?;
-                    }
-                    Ok(())
-                });
-                self.node_stack.pop();
-                result
-            }
-            ResolvedStmt::Reduce {
-                id,
-                reg,
-                counter,
-                body,
-                expr,
-            } => {
-                self.node_stack.push(*id);
-                let mut acc = match self.reg_value(*reg) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        self.node_stack.pop();
-                        return Err(e);
-                    }
-                };
-                let result = self.run_counter(p, counter, |m| {
-                    m.charge_step()?;
-                    m.dense.node_trips[*id] += 1;
-                    for s in body {
-                        m.exec(p, s)?;
-                    }
-                    let v = m.eval(p, *expr)?;
-                    m.dense.reduce_elems += 1;
-                    m.dense.alu_ops += 1; // the tree-add
-                    acc += v;
-                    Ok(())
-                });
-                self.node_stack.pop();
-                result?;
-                self.write_reduce_acc(Some(*reg), acc);
-                Ok(())
-            }
-        }
-    }
-
-    fn run_counter(
-        &mut self,
-        p: &ResolvedProgram,
-        counter: &ResolvedCounter,
-        mut body: impl FnMut(&mut Machine) -> Result<(), RunError>,
-    ) -> Result<(), RunError> {
-        match counter {
-            ResolvedCounter::Range {
-                var,
-                min,
-                max,
-                step,
-            } => {
-                let lo = self.eval(p, *min)?;
-                let hi = self.eval(p, *max)?;
-                let step = *step;
-                debug_assert!(step > 0, "non-positive loop step");
-                let var = *var as usize;
-                let saved = self.env[var];
-                let mut v = lo;
-                while v < hi {
-                    self.env[var] = Some(v);
-                    body(self)?;
-                    v += step as f64;
-                }
-                self.env[var] = saved;
-                Ok(())
-            }
-            ResolvedCounter::Scan1 {
-                bv,
-                pos_var,
-                idx_var,
-            } => {
-                let depth = self.scan_depth;
-                let dim = self.scan_snapshot1(*bv)?;
-                self.scan_depth = depth + 1;
-                let (pos_var, idx_var) = (*pos_var as usize, *idx_var as usize);
-                let saved_pos = self.env[pos_var];
-                let saved_idx = self.env[idx_var];
-                let mut pos = 0u64;
-                for idx in 0..dim {
-                    if self.scan_pool[depth].a_set(idx) {
-                        self.env[pos_var] = Some(pos as f64);
-                        self.env[idx_var] = Some(idx as f64);
-                        self.dense.scan_emits += 1;
-                        body(self)?;
-                        pos += 1;
-                    }
-                }
-                self.scan_depth = depth;
-                self.env[pos_var] = saved_pos;
-                self.env[idx_var] = saved_idx;
-                Ok(())
-            }
-            ResolvedCounter::Scan2 {
-                op,
-                bv_a,
-                bv_b,
-                a_pos_var,
-                b_pos_var,
-                out_pos_var,
-                idx_var,
-            } => {
-                let depth = self.scan_depth;
-                let dim = self.scan_snapshot2(*bv_a, *bv_b)?;
-                self.scan_depth = depth + 1;
-                let vars = [
-                    *a_pos_var as usize,
-                    *b_pos_var as usize,
-                    *out_pos_var as usize,
-                    *idx_var as usize,
-                ];
-                let saved = vars.map(|v| self.env[v]);
-                let (mut ap, mut bp, mut op_count) = (0u64, 0u64, 0u64);
-                for idx in 0..dim {
-                    let has_a = self.scan_pool[depth].a_set(idx);
-                    let has_b = self.scan_pool[depth].b_set(idx);
-                    let combined = match op {
-                        ScanOp::And => has_a && has_b,
-                        ScanOp::Or => has_a || has_b,
-                    };
-                    if combined {
-                        self.env[vars[0]] = Some(if has_a { ap as f64 } else { -1.0 });
-                        self.env[vars[1]] = Some(if has_b { bp as f64 } else { -1.0 });
-                        self.env[vars[2]] = Some(op_count as f64);
-                        self.env[vars[3]] = Some(idx as f64);
-                        self.dense.scan_emits += 1;
-                        body(self)?;
-                        op_count += 1;
-                    }
-                    if has_a {
-                        ap += 1;
-                    }
-                    if has_b {
-                        bp += 1;
-                    }
-                }
-                self.scan_depth = depth;
-                for (v, old) in vars.iter().zip(saved) {
-                    self.env[*v] = old;
-                }
-                Ok(())
-            }
-        }
-    }
-
     /// Snapshots one bit vector into the scan pool slot at the current
     /// depth (a slice memcpy of the packed words), returning the scan
     /// dimension. Counts the entry's `scan_bits`.
@@ -2919,7 +2461,7 @@ impl Machine {
         if self.scan_pool.len() <= depth {
             self.scan_pool.resize_with(depth + 1, ScanBuf::default);
         }
-        // Error order matches the tree engines: `a` is examined first.
+        // Error order matches the reference engine: `a` is examined first.
         let sa = self.chip[bv_a as usize];
         if sa.tag != ChipTag::Bits {
             return Err(self.unknown_chip(bv_a));
@@ -3170,33 +2712,12 @@ impl Machine {
         let end = (body + body_len) as usize;
         let fstep = step as f64;
         let mut v = lo;
-        // The lowering pass tags each RangeSimple with its
-        // vector-eligibility class; the op sits immediately before its
-        // body, so its own pc is `body - 1`.
-        let vclass = if self.vector_enabled {
-            prog.vec_class(body as usize - 1)
-        } else {
-            VecClass::None
-        };
         // Trip/fold counts accumulate in registers and flush to the
         // dense counters on every exit path — including errors — so the
         // observable statistics are identical to per-iteration bumping.
         let mut trips = 0u64;
         let mut folds = 0u64;
         let mut result: Result<(), RunError> = Ok(());
-        // Empty-body reductions over a unit-stride gather shape (the
-        // SpMV dot product) go through the vector tier when tagged
-        // eligible; ineligible runtime state falls through to the
-        // generic loop below.
-        if vclass == VecClass::GatherReduce {
-            if let Some((reg, expr)) = reduce {
-                if let Some(r) =
-                    self.try_vector_reduce(prog, id, var, saved, lo, hi, reg, expr, acc, end)
-                {
-                    return r;
-                }
-            }
-        }
         // Single-statement bodies (the scatter-accumulate shape) get a
         // dedicated loop: the body op is loop-invariant, so its
         // dispatch is hoisted out of the iteration entirely.
@@ -3208,12 +2729,10 @@ impl Machine {
             // body cannot allocate, enqueue, or regenerate), so slot
             // states hoist out of the loop and statistics batch in
             // registers.
-            let vector = vclass == VecClass::Scatter;
             match *op {
                 Op::RmwAdd { mem, index, value } => {
                     if let Some(r) = self.try_scatter_loop(
-                        prog, id, var, saved, v, hi, fstep, mem, index, value, true, true, vector,
-                        end,
+                        prog, id, var, saved, v, hi, fstep, mem, index, value, true, true, end,
                     ) {
                         return r;
                     }
@@ -3225,8 +2744,7 @@ impl Machine {
                     random,
                 } => {
                     if let Some(r) = self.try_scatter_loop(
-                        prog, id, var, saved, v, hi, fstep, mem, index, value, random, false,
-                        vector, end,
+                        prog, id, var, saved, v, hi, fstep, mem, index, value, random, false, end,
                     ) {
                         return r;
                     }
@@ -3277,14 +2795,6 @@ impl Machine {
                 result?;
                 self.env[var] = saved;
                 return Ok(end);
-            }
-        }
-        // Multi-statement straight-line scatter bodies (fused
-        // fill/update loops) chunk through the vector tier;
-        // ineligible runtime state falls through to the generic loop.
-        if vclass == VecClass::MultiScatter && reduce.is_none() {
-            if let Some(r) = self.try_multi_scatter(prog, id, var, saved, v, hi, body, end) {
-                return r;
             }
         }
         if v < hi {
@@ -3426,8 +2936,8 @@ impl Machine {
         // the observable statistics are identical to per-emit bumping.
         // Fuel stays field-based: the body can nest superinstructions
         // that consume fuel themselves. `emits` counts emit positions
-        // *reached* (bumped before the step charge, like the tree and
-        // reference walkers); `trips` counts charged steps.
+        // *reached* (bumped before the step charge, like the reference
+        // engine); `trips` counts charged steps.
         let mut emits = 0u64;
         let mut trips = 0u64;
         let mut folds = 0u64;
@@ -3435,21 +2945,13 @@ impl Machine {
         let mut entered = false;
         let mut pos = 0u64;
         let mut idx = 0usize;
-        // Vector tier: non-emitting bits consume no fuel and no
-        // statistics, so jumping whole zero words at a time (one
-        // trailing_zeros per 64 positions) is observably identical to
-        // probing them one by one.
-        let fast = self.vector_enabled;
+        // Non-emitting bits consume no fuel and no statistics, so
+        // jumping whole zero words at a time (one trailing_zeros per 64
+        // positions) is observably identical to probing them one by one.
         'emits: while idx < dim {
-            if fast {
-                match self.scan_pool[depth].next_a_set(idx, dim) {
-                    Some(i) => idx = i,
-                    None => break 'emits,
-                }
-            }
-            if !self.scan_pool[depth].a_set(idx) {
-                idx += 1;
-                continue;
+            match self.scan_pool[depth].next_a_set(idx, dim) {
+                Some(i) => idx = i,
+                None => break 'emits,
             }
             emits += 1;
             if let Err(e) = self.charge_step() {
@@ -3526,7 +3028,7 @@ impl Machine {
         let saved = vars.map(|v| self.env[v]);
         let end = (body + body_len) as usize;
         // `emits` counts emit positions *reached* (bumped before the
-        // step charge, like the tree and reference walkers); `trips`
+        // step charge, like the reference engine); `trips`
         // counts charged steps.
         let mut emits = 0u64;
         let mut trips = 0u64;
@@ -3534,37 +3036,20 @@ impl Machine {
         let mut result: Result<(), RunError> = Ok(());
         let mut entered = false;
         let (mut idx, mut ap, mut bp, mut emitted) = (0usize, 0u64, 0u64, 0u64);
-        // Vector tier: skipped (non-combined) positions consume no fuel
-        // and no statistics — only the side position counters advance —
-        // so batching whole words with popcounts is observably
-        // identical to probing one position at a time.
-        let fast = self.vector_enabled;
+        // Skipped (non-combined) positions consume no fuel and no
+        // statistics — only the side position counters advance — so
+        // batching whole words with popcounts is observably identical
+        // to probing one position at a time.
         'emits: while idx < dim {
-            if fast {
-                let (next, askip, bskip) = self.scan_pool[depth].scan2_skip(op, idx, dim);
-                ap += askip;
-                bp += bskip;
-                idx = next;
-                if idx >= dim {
-                    break 'emits;
-                }
+            let (next, askip, bskip) = self.scan_pool[depth].scan2_skip(op, idx, dim);
+            ap += askip;
+            bp += bskip;
+            idx = next;
+            if idx >= dim {
+                break 'emits;
             }
             let has_a = self.scan_pool[depth].a_set(idx);
             let has_b = self.scan_pool[depth].b_set(idx);
-            let combined = match op {
-                ScanOp::And => has_a && has_b,
-                ScanOp::Or => has_a || has_b,
-            };
-            if !combined {
-                if has_a {
-                    ap += 1;
-                }
-                if has_b {
-                    bp += 1;
-                }
-                idx += 1;
-                continue;
-            }
             emits += 1;
             if let Err(e) = self.charge_step() {
                 result = Err(e);
@@ -3758,7 +3243,6 @@ impl Machine {
         value: Operand,
         random: bool,
         accumulate: bool,
-        vector: bool,
         end: usize,
     ) -> Option<Result<usize, RunError>> {
         let dst_st = self.chip[dst as usize];
@@ -3768,97 +3252,12 @@ impl Machine {
         let hindex = self.hot_value(prog, index)?;
         let hvalue = self.hot_value(prog, value)?;
         let dst_shuffle = (random || accumulate) && dst_st.kind == MemKind::SparseSram;
-        // Chunked (vector-tier) run when the lowering tagged the shape
-        // eligible and the runtime half of the contract holds; falls
-        // through to the scalar loop otherwise.
-        if vector {
-            if let Some(r) = self.try_vector_scatter(
-                id,
-                var,
-                saved,
-                v0,
-                hi,
-                dst,
-                dst_st,
-                hindex,
-                hvalue,
-                dst_shuffle,
-                accumulate,
-                end,
-            ) {
-                return Some(r);
-            }
-        }
         let mut c = HotCounters::default();
         let mut swrites = 0u64;
         let mut trips = 0u64;
         let mut result: Result<(), RunError> = Ok(());
         let mut v = v0;
-        // Bounds-check elision: the static analysis proved every
-        // iteration of this loop writes in range (see
-        // `crate::analysis::compute_elide`), and the hoisted guard
-        // re-checks the proof's premises against runtime state — so a
-        // stale table degrades to the checked loop below, never to an
-        // unchecked out-of-bounds write.
-        let elide = self.elide_enabled
-            && prog.elide_at(end - 1)
-            && matches!(hindex, HotValue::Var(a) if a as usize == var)
-            && v0 >= 0.0
-            && v0.fract() == 0.0
-            && hi <= dst_st.len as f64;
-        if elide && v < hi {
-            self.node_stack.push(id);
-            let mut fuel = self.fuel;
-            let interrupts = self.interrupts;
-            // Elided loop: the index is the loop variable itself —
-            // integral, non-negative, and `< len` for the whole window
-            // — so `index_of` and the per-access bounds check vanish.
-            // Errors, statistics, and env effects are otherwise
-            // identical to the checked loop below (the index operand
-            // is an env read that charges nothing and cannot fail
-            // while `env[var]` is bound).
-            'eiters: while v < hi {
-                if fuel == 0 {
-                    result = Err(exhausted_fuel(self.fuel_cause, self.step_limit));
-                    break 'eiters;
-                }
-                fuel -= 1;
-                if interrupts && fuel & INTERRUPT_MASK == 0 {
-                    if let Err(e) = check_interrupts(
-                        self.deadline_at,
-                        self.deadline_ms(),
-                        self.budget.cancel.as_ref(),
-                    ) {
-                        result = Err(e);
-                        break 'eiters;
-                    }
-                }
-                self.env[var] = Some(v);
-                trips += 1;
-                let val = match self.hot_eval(hvalue, &mut c) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        result = Err(e);
-                        break 'eiters;
-                    }
-                };
-                let slot = &mut self.words[dst_st.woff + v as usize];
-                if accumulate {
-                    *slot += val;
-                } else {
-                    *slot = val;
-                }
-                swrites += 1;
-                if dst_shuffle {
-                    c.shuffles += 1;
-                }
-                v += fstep;
-            }
-            self.fuel = fuel;
-            if result.is_ok() {
-                self.node_stack.pop();
-            }
-        } else if v < hi {
+        if v < hi {
             self.node_stack.push(id);
             // Fuel mirrors in a register like every other counter here,
             // flushed on all exit paths (the body is a single on-chip
@@ -3941,790 +3340,6 @@ impl Machine {
             return Some(Err(e));
         }
         self.env[var] = saved;
-        Some(Ok(end))
-    }
-
-    /// Builds the lane-index plan for one scatter statement, or `None`
-    /// when the index operand is not unit-stride in the loop variable
-    /// or a gather stream aliases a destination region (lanes preload
-    /// before the writes commit, so aliasing would reorder reads).
-    fn ix_plan(&self, hindex: HotValue, var: usize, dsts: &[Slot]) -> Option<IxPlan> {
-        match hindex {
-            HotValue::Var(a) if a as usize == var => Some(IxPlan::Iota),
-            // `v + c`: exact iff `c` is a non-negative integer small
-            // enough that `v + c` stays exactly representable — the
-            // same premises `crate::analysis` checks statically.
-            HotValue::VarConstBin {
-                var: a,
-                c,
-                op: BinSOp::Add,
-            } if a as usize == var && c >= 0.0 && c.fract() == 0.0 && c <= 4_294_967_296.0 => {
-                Some(IxPlan::OffIota(c as usize))
-            }
-            HotValue::Gather(g) if g.var as usize == var && !dsts.contains(&g.chip) => {
-                Some(IxPlan::Stream(g))
-            }
-            _ => None,
-        }
-    }
-
-    /// Builds the lane-value plan for one scatter statement (same
-    /// eligibility contract as [`Machine::ix_plan`]). An unbound splat
-    /// variable bails to the scalar loop so the UnboundVar error
-    /// surfaces with scalar semantics.
-    fn val_plan(&self, hvalue: HotValue, var: usize, dsts: &[Slot]) -> Option<ValPlan> {
-        match hvalue {
-            HotValue::Const(k) => Some(ValPlan::Splat(k)),
-            HotValue::Var(a) if a as usize == var => Some(ValPlan::Iota),
-            HotValue::Var(a) => Some(ValPlan::Splat(self.env[a as usize]?)),
-            HotValue::VarConstBin { var: a, c, op } if a as usize == var => {
-                Some(ValPlan::IotaBin { op, c })
-            }
-            HotValue::Gather(g) if g.var as usize == var && !dsts.contains(&g.chip) => {
-                Some(ValPlan::Stream(g))
-            }
-            HotValue::BinGather { a, op, g }
-                if g.var as usize == var && a as usize != var && !dsts.contains(&g.chip) =>
-            {
-                Some(ValPlan::SplatBin {
-                    x: self.env[a as usize]?,
-                    op,
-                    g,
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// The chunked (vector-tier) scatter executor: runs the scatter
-    /// superinstruction's unit-stride iterations [`vector::LANES`] at a
-    /// time. Index/value streams load as whole lanes from the flat
-    /// arena (bounds hoisted to one comparison per chunk), values
-    /// compute per lane, and the writes commit serially in lane order —
-    /// so repeated indices accumulate exactly as the scalar loop does
-    /// and every f64 result is bit-identical.
-    ///
-    /// Identity contract with the scalar loop:
-    /// - a chunk never crosses a fuel-exhaustion or interrupt-check
-    ///   boundary ([`vector::burst`]); the boundary iteration runs
-    ///   through the scalar step below at the identical fuel value;
-    /// - a chunk with a faulting lane (negative index, out-of-bounds
-    ///   destination) commits nothing and is re-run scalar from its
-    ///   first iteration, so the error, the partial writes before it,
-    ///   and the statistics match the scalar loop exactly;
-    /// - trailing iterations short of a full chunk run scalar.
-    ///
-    /// Returns `None` (having executed nothing) when the runtime half
-    /// of the eligibility contract fails — non-integral bounds, operand
-    /// shapes that are not unit-stride in the loop variable, or a
-    /// source stream aliasing the destination region (lanes preload
-    /// before the writes commit, so aliasing would reorder reads).
-    #[allow(clippy::too_many_arguments)]
-    fn try_vector_scatter(
-        &mut self,
-        id: usize,
-        var: usize,
-        saved: Option<f64>,
-        v0: f64,
-        hi: f64,
-        dst: Slot,
-        dst_st: ChipState,
-        hindex: HotValue,
-        hvalue: HotValue,
-        dst_shuffle: bool,
-        accumulate: bool,
-        end: usize,
-    ) -> Option<Result<usize, RunError>> {
-        const L: usize = vector::LANES;
-        let (base, total) = vector::unit_trips(v0, hi)?;
-        if total == 0 {
-            return None; // zero-trip: the scalar loop exits instantly
-        }
-        let ix_plan = self.ix_plan(hindex, var, &[dst])?;
-        let val_plan = self.val_plan(hvalue, var, &[dst])?;
-        // Per-iteration statistic increments are compile-time constants
-        // of the plan; chunks charge them in one multiply.
-        let (ix_reads, ix_shuf, ix_alu) = ix_plan.stats();
-        let (val_reads, val_shuf, val_alu) = val_plan.stats();
-        let (reads_per, shuf_per, alu_per) = (
-            ix_reads + val_reads,
-            ix_shuf + val_shuf + dst_shuffle as u64,
-            ix_alu + val_alu,
-        );
-        // Unit-stride streams stay in bounds for exactly
-        // `len - base` iterations; beyond that the scalar step owns the
-        // (error) semantics.
-        let mut stream_cap = total;
-        for g in [ix_plan.stream(), val_plan.stream()].into_iter().flatten() {
-            stream_cap = stream_cap.min(g.len.saturating_sub(base) as u64);
-        }
-        let mut done = 0u64;
-        let mut fuel = self.fuel;
-        let interrupts = self.interrupts;
-        let mut trips = 0u64;
-        let mut swrites = 0u64;
-        let mut c = HotCounters::default();
-        let mut result: Result<(), RunError> = Ok(());
-        let mut vec_on = true;
-        self.node_stack.push(id);
-        'outer: while done < total {
-            if vec_on {
-                let mut safe = vector::burst(stream_cap.saturating_sub(done), fuel, interrupts);
-                'chunks: while safe >= L as u64 {
-                    let at = base + done as usize;
-                    let mut idx = [0usize; L];
-                    match &ix_plan {
-                        IxPlan::Iota => {
-                            for (k, ix) in idx.iter_mut().enumerate() {
-                                *ix = at + k;
-                            }
-                        }
-                        IxPlan::OffIota(off) => {
-                            for (k, ix) in idx.iter_mut().enumerate() {
-                                *ix = at + k + off;
-                            }
-                        }
-                        IxPlan::Stream(g) => {
-                            let mut lanes = [0.0f64; L];
-                            lanes.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                            if !vector::to_indices(&lanes, &mut idx) {
-                                // Negative lane: the chunk re-runs
-                                // scalar so NegativeIndex surfaces at
-                                // the exact iteration and state.
-                                vec_on = false;
-                                break 'chunks;
-                            }
-                        }
-                    }
-                    let mut max_ix = 0usize;
-                    for &ix in &idx {
-                        max_ix = max_ix.max(ix);
-                    }
-                    if max_ix >= dst_st.len {
-                        // Out-of-bounds lane: scalar re-run commits the
-                        // preceding lanes and raises the exact error.
-                        vec_on = false;
-                        break 'chunks;
-                    }
-                    let mut vals = [0.0f64; L];
-                    match &val_plan {
-                        ValPlan::Splat(x) => vals = [*x; L],
-                        ValPlan::Iota => {
-                            for (k, x) in vals.iter_mut().enumerate() {
-                                *x = (at + k) as f64;
-                            }
-                        }
-                        ValPlan::IotaBin { op, c } => {
-                            // Lanes are independent; per-lane apply is
-                            // bit-identical to the scalar op.
-                            for (k, x) in vals.iter_mut().enumerate() {
-                                *x = op.apply((at + k) as f64, *c);
-                            }
-                        }
-                        ValPlan::Stream(g) => {
-                            vals.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                        }
-                        ValPlan::SplatBin { x, op, g } => {
-                            let mut lanes = [0.0f64; L];
-                            lanes.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                            vector::bin_splat(*op, *x, &lanes, &mut vals);
-                        }
-                    }
-                    // Serial in-lane-order commit: repeated indices
-                    // within a chunk accumulate exactly as the scalar
-                    // loop does.
-                    let dwords = &mut self.words[dst_st.woff..dst_st.woff + dst_st.len];
-                    if accumulate {
-                        for k in 0..L {
-                            dwords[idx[k]] += vals[k];
-                        }
-                    } else {
-                        for k in 0..L {
-                            dwords[idx[k]] = vals[k];
-                        }
-                    }
-                    done += L as u64;
-                    fuel -= L as u64;
-                    safe -= L as u64;
-                    trips += L as u64;
-                    swrites += L as u64;
-                    c.sram_reads += reads_per * L as u64;
-                    c.shuffles += shuf_per * L as u64;
-                    c.alu_ops += alu_per * L as u64;
-                }
-                if done >= total {
-                    break 'outer;
-                }
-            }
-            // Scalar step: the remainder tail, a fuel/interrupt
-            // boundary, or the re-run of a faulting chunk — the body is
-            // the scalar loop's, verbatim.
-            if fuel == 0 {
-                result = Err(exhausted_fuel(self.fuel_cause, self.step_limit));
-                break 'outer;
-            }
-            fuel -= 1;
-            if interrupts && fuel & INTERRUPT_MASK == 0 {
-                if let Err(e) = check_interrupts(
-                    self.deadline_at,
-                    self.deadline_ms(),
-                    self.budget.cancel.as_ref(),
-                ) {
-                    result = Err(e);
-                    break 'outer;
-                }
-            }
-            self.env[var] = Some(v0 + done as f64);
-            trips += 1;
-            let ixf = match self.hot_eval(hindex, &mut c) {
-                Ok(x) => x,
-                Err(e) => {
-                    result = Err(e);
-                    break 'outer;
-                }
-            };
-            let ix = match index_of(ixf, || self.syms.chip_name(dst).to_string()) {
-                Ok(x) => x,
-                Err(e) => {
-                    result = Err(e);
-                    break 'outer;
-                }
-            };
-            let val = match self.hot_eval(hvalue, &mut c) {
-                Ok(x) => x,
-                Err(e) => {
-                    result = Err(e);
-                    break 'outer;
-                }
-            };
-            if ix >= dst_st.len {
-                result = Err(RunError::OutOfBounds {
-                    mem: self.syms.chip_name(dst).to_string(),
-                    index: ix as i64,
-                    len: dst_st.len,
-                });
-                break 'outer;
-            }
-            let slot = &mut self.words[dst_st.woff + ix];
-            if accumulate {
-                *slot += val;
-            } else {
-                *slot = val;
-            }
-            swrites += 1;
-            if dst_shuffle {
-                c.shuffles += 1;
-            }
-            done += 1;
-        }
-        self.fuel = fuel;
-        if result.is_ok() {
-            self.node_stack.pop();
-        }
-        self.dense.node_trips[id] += trips;
-        self.dense.sram_reads += c.sram_reads;
-        self.dense.sram_writes += swrites;
-        self.dense.shuffle_accesses += c.shuffles;
-        self.dense.alu_ops += c.alu_ops;
-        if let Err(e) = result {
-            return Some(Err(e));
-        }
-        self.env[var] = saved;
-        Some(Ok(end))
-    }
-
-    /// The chunked multi-scatter executor: a `RangeSimple` whose body
-    /// is several on-chip writes (`WriteMem`/`RmwAdd`), each with
-    /// hot-shape operands — the fused fill/update bodies that
-    /// [`VecClass::MultiScatter`] admits. Every statement's lanes are
-    /// validated (and staged) before any statement commits, so a
-    /// faulting chunk re-runs scalar from its first iteration with no
-    /// partial writes; the commit is statement-major, which is
-    /// byte-identical to the scalar loop's iteration-major order
-    /// because destinations are pairwise distinct and disjoint from
-    /// every gather source (both re-checked here at runtime, mirroring
-    /// the static classification in [`crate::analysis`]).
-    ///
-    /// The scalar step reproduces one generic
-    /// [`Machine::run_simple_body`] iteration — same op order, same
-    /// statistics, same error identity — with the loop-invariant slot
-    /// states hoisted (the body cannot allocate, enqueue, or bind, so
-    /// hoisting is sound, and it cannot consume fuel, so the register
-    /// fuel mirror is exact). Returns `None` (having executed nothing)
-    /// when runtime state is ineligible, leaving the generic loop to
-    /// run.
-    #[allow(clippy::too_many_arguments)]
-    fn try_multi_scatter(
-        &mut self,
-        prog: &CompiledProgram,
-        id: usize,
-        var: usize,
-        saved: Option<f64>,
-        v0: f64,
-        hi: f64,
-        body: OpId,
-        end: usize,
-    ) -> Option<Result<usize, RunError>> {
-        const L: usize = vector::LANES;
-        let (base, total) = vector::unit_trips(v0, hi)?;
-        if total == 0 {
-            return None; // zero-trip: the generic loop exits instantly
-        }
-        let ops = prog.ops();
-        let mut dsts: Vec<Slot> = Vec::with_capacity(end - body as usize);
-        for op in &ops[body as usize..end] {
-            match *op {
-                Op::WriteMem { mem, .. } | Op::RmwAdd { mem, .. } => {
-                    // Pairwise-distinct destinations keep the
-                    // statement-major commit order sound.
-                    if dsts.contains(&mem) {
-                        return None;
-                    }
-                    dsts.push(mem);
-                }
-                _ => return None,
-            }
-        }
-        let mut stmts: Vec<ScatterStmt> = Vec::with_capacity(dsts.len());
-        let mut stream_cap = total;
-        let (mut reads_per, mut shuf_per, mut alu_per) = (0u64, 0u64, 0u64);
-        for op in &ops[body as usize..end] {
-            let (dst, index, value, random, accumulate) = match *op {
-                Op::WriteMem {
-                    mem,
-                    index,
-                    value,
-                    random,
-                } => (mem, index, value, random, false),
-                Op::RmwAdd { mem, index, value } => (mem, index, value, true, true),
-                _ => unreachable!("body shape checked above"),
-            };
-            let st = self.chip[dst as usize];
-            if st.tag != ChipTag::Words {
-                return None;
-            }
-            let hindex = self.hot_value(prog, index)?;
-            let hvalue = self.hot_value(prog, value)?;
-            let ix_plan = self.ix_plan(hindex, var, &dsts)?;
-            let val_plan = self.val_plan(hvalue, var, &dsts)?;
-            let dst_shuffle = (random || accumulate) && st.kind == MemKind::SparseSram;
-            let (ixr, ixs, ixa) = ix_plan.stats();
-            let (vr, vs, va) = val_plan.stats();
-            reads_per += ixr + vr;
-            shuf_per += ixs + vs + dst_shuffle as u64;
-            alu_per += ixa + va;
-            // Unit-stride streams stay in bounds for exactly
-            // `len - base` iterations; beyond that the scalar step
-            // owns the (error) semantics.
-            for g in [ix_plan.stream(), val_plan.stream()].into_iter().flatten() {
-                stream_cap = stream_cap.min(g.len.saturating_sub(base) as u64);
-            }
-            stmts.push(ScatterStmt {
-                dst,
-                woff: st.woff,
-                len: st.len,
-                hindex,
-                hvalue,
-                ix_plan,
-                val_plan,
-                accumulate,
-                dst_shuffle,
-            });
-        }
-        let nstmts = stmts.len() as u64;
-        // Per-statement lane staging, allocated once per loop entry.
-        let mut lanes: Vec<([usize; L], [f64; L])> = vec![([0; L], [0.0; L]); stmts.len()];
-        let mut done = 0u64;
-        let mut fuel = self.fuel;
-        let interrupts = self.interrupts;
-        let mut trips = 0u64;
-        let mut swrites = 0u64;
-        let mut c = HotCounters::default();
-        let mut result: Result<(), RunError> = Ok(());
-        let mut vec_on = true;
-        self.node_stack.push(id);
-        'outer: while done < total {
-            if vec_on {
-                let mut safe = vector::burst(stream_cap.saturating_sub(done), fuel, interrupts);
-                'chunks: while safe >= L as u64 {
-                    let at = base + done as usize;
-                    for (s, (idx, vals)) in stmts.iter().zip(lanes.iter_mut()) {
-                        match &s.ix_plan {
-                            IxPlan::Iota => {
-                                for (k, ix) in idx.iter_mut().enumerate() {
-                                    *ix = at + k;
-                                }
-                            }
-                            IxPlan::OffIota(off) => {
-                                for (k, ix) in idx.iter_mut().enumerate() {
-                                    *ix = at + k + off;
-                                }
-                            }
-                            IxPlan::Stream(g) => {
-                                let mut raw = [0.0f64; L];
-                                raw.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                                if !vector::to_indices(&raw, idx) {
-                                    // Negative lane: the chunk re-runs
-                                    // scalar so NegativeIndex surfaces
-                                    // at the exact iteration and state.
-                                    vec_on = false;
-                                    break 'chunks;
-                                }
-                            }
-                        }
-                        let mut max_ix = 0usize;
-                        for &ix in idx.iter() {
-                            max_ix = max_ix.max(ix);
-                        }
-                        if max_ix >= s.len {
-                            // Out-of-bounds lane: scalar re-run raises
-                            // the exact error at the exact iteration.
-                            vec_on = false;
-                            break 'chunks;
-                        }
-                        match &s.val_plan {
-                            ValPlan::Splat(x) => *vals = [*x; L],
-                            ValPlan::Iota => {
-                                for (k, x) in vals.iter_mut().enumerate() {
-                                    *x = (at + k) as f64;
-                                }
-                            }
-                            ValPlan::IotaBin { op, c } => {
-                                for (k, x) in vals.iter_mut().enumerate() {
-                                    *x = op.apply((at + k) as f64, *c);
-                                }
-                            }
-                            ValPlan::Stream(g) => {
-                                vals.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                            }
-                            ValPlan::SplatBin { x, op, g } => {
-                                let mut raw = [0.0f64; L];
-                                raw.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                                vector::bin_splat(*op, *x, &raw, vals);
-                            }
-                        }
-                    }
-                    // Statement-major commit, serial in lane order
-                    // within each statement.
-                    for (s, (idx, vals)) in stmts.iter().zip(lanes.iter()) {
-                        let dwords = &mut self.words[s.woff..s.woff + s.len];
-                        if s.accumulate {
-                            for k in 0..L {
-                                dwords[idx[k]] += vals[k];
-                            }
-                        } else {
-                            for k in 0..L {
-                                dwords[idx[k]] = vals[k];
-                            }
-                        }
-                    }
-                    done += L as u64;
-                    fuel -= L as u64;
-                    safe -= L as u64;
-                    trips += L as u64;
-                    swrites += nstmts * L as u64;
-                    c.sram_reads += reads_per * L as u64;
-                    c.shuffles += shuf_per * L as u64;
-                    c.alu_ops += alu_per * L as u64;
-                }
-                if done >= total {
-                    break 'outer;
-                }
-            }
-            // Scalar step: the remainder tail, a fuel/interrupt
-            // boundary, or the re-run of a faulting chunk — one full
-            // iteration of the generic body, statement by statement.
-            if fuel == 0 {
-                result = Err(exhausted_fuel(self.fuel_cause, self.step_limit));
-                break 'outer;
-            }
-            fuel -= 1;
-            if interrupts && fuel & INTERRUPT_MASK == 0 {
-                if let Err(e) = check_interrupts(
-                    self.deadline_at,
-                    self.deadline_ms(),
-                    self.budget.cancel.as_ref(),
-                ) {
-                    result = Err(e);
-                    break 'outer;
-                }
-            }
-            self.env[var] = Some(v0 + done as f64);
-            trips += 1;
-            for s in &stmts {
-                // Same order as the generic WriteMem/RmwAdd op: index
-                // operand, index conversion, value operand, then the
-                // bounds-checked write.
-                let ixf = match self.hot_eval(s.hindex, &mut c) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        result = Err(e);
-                        break 'outer;
-                    }
-                };
-                let ix = match index_of(ixf, || self.syms.chip_name(s.dst).to_string()) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        result = Err(e);
-                        break 'outer;
-                    }
-                };
-                let val = match self.hot_eval(s.hvalue, &mut c) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        result = Err(e);
-                        break 'outer;
-                    }
-                };
-                if ix >= s.len {
-                    result = Err(RunError::OutOfBounds {
-                        mem: self.syms.chip_name(s.dst).to_string(),
-                        index: ix as i64,
-                        len: s.len,
-                    });
-                    break 'outer;
-                }
-                let slot = &mut self.words[s.woff + ix];
-                if s.accumulate {
-                    *slot += val;
-                } else {
-                    *slot = val;
-                }
-                swrites += 1;
-                if s.dst_shuffle {
-                    c.shuffles += 1;
-                }
-            }
-            done += 1;
-        }
-        self.fuel = fuel;
-        if result.is_ok() {
-            self.node_stack.pop();
-        }
-        self.dense.node_trips[id] += trips;
-        self.dense.sram_reads += c.sram_reads;
-        self.dense.sram_writes += swrites;
-        self.dense.shuffle_accesses += c.shuffles;
-        self.dense.alu_ops += c.alu_ops;
-        if let Err(e) = result {
-            return Some(Err(e));
-        }
-        self.env[var] = saved;
-        Some(Ok(end))
-    }
-
-    /// The chunked (vector-tier) gather-reduce executor: an empty-body
-    /// `RangeSimple` whose reduce operand is a unit-stride gather shape
-    /// — a plain stream sum, `x op stream[v]`, or the SpMV dot product
-    /// `vals[v] op x[crd[v]]`. Streams load as whole lanes (bounds
-    /// hoisted per chunk), the data-dependent outer gather converts and
-    /// bounds-checks its indices per lane, the binary op applies per
-    /// lane (bit-exact — lanes are independent), and the *fold into the
-    /// accumulator stays serial in lane order*, so the f64 sum is
-    /// bit-identical to the scalar loop.
-    ///
-    /// Fuel/interrupt boundaries, faulting chunks, and remainder tails
-    /// follow the same identity contract as
-    /// [`Machine::try_vector_scatter`]; the scalar step evaluates the
-    /// operand through the generic [`Machine::operand_value`] path.
-    /// Returns `None` when runtime state is ineligible (non-integral
-    /// bounds, a referenced slot not currently plain words, an unbound
-    /// splat variable), leaving the generic loop to run.
-    #[allow(clippy::too_many_arguments)]
-    fn try_vector_reduce(
-        &mut self,
-        prog: &CompiledProgram,
-        id: usize,
-        var: usize,
-        saved: Option<f64>,
-        lo: f64,
-        hi: f64,
-        reg: Slot,
-        expr: Operand,
-        acc0: f64,
-        end: usize,
-    ) -> Option<Result<usize, RunError>> {
-        const L: usize = vector::LANES;
-        let (base, total) = vector::unit_trips(lo, hi)?;
-        if total == 0 {
-            return None; // zero-trip: the generic loop exits instantly
-        }
-        enum RedPlan {
-            /// Σ stream[v].
-            Stream(HotGather),
-            /// Σ (x op stream[v]) with loop-invariant `x`.
-            SplatBin { x: f64, op: BinSOp, g: HotGather },
-            /// Σ (lhs[v] op outer[inner[v]]) — the SpMV dot product.
-            IndBin {
-                l: HotGather,
-                op: BinSOp,
-                i: HotGather,
-                o: HotGather,
-            },
-        }
-        let plan = match expr {
-            Operand::Gather {
-                chip,
-                random,
-                var: gv,
-                ..
-            } => RedPlan::Stream(self.hot_gather(chip, random, gv)?),
-            Operand::Fused(fi) => match prog.fused()[fi as usize] {
-                FusedOp::BinGather { a, op, mem } => RedPlan::SplatBin {
-                    x: self.env[a as usize]?,
-                    op,
-                    g: self.hot_gather(mem.chip, mem.random, mem.var)?,
-                },
-                FusedOp::BinGatherInd {
-                    lhs,
-                    op,
-                    inner,
-                    outer,
-                } => RedPlan::IndBin {
-                    l: self.hot_gather(lhs.chip, lhs.random, lhs.var)?,
-                    op,
-                    i: self.hot_gather(inner.chip, inner.random, inner.var)?,
-                    o: self.hot_gather(outer.chip, outer.random, outer.var)?,
-                },
-                _ => return None,
-            },
-            _ => return None,
-        };
-        let (reads_per, shuf_per, alu_per) = match &plan {
-            RedPlan::Stream(g) => (1u64, g.shuffle as u64, 0u64),
-            RedPlan::SplatBin { g, .. } => (1, g.shuffle as u64, 1),
-            RedPlan::IndBin { l, i, o, .. } => {
-                (3, l.shuffle as u64 + i.shuffle as u64 + o.shuffle as u64, 1)
-            }
-        };
-        let mut stream_cap = total;
-        match &plan {
-            RedPlan::Stream(g) | RedPlan::SplatBin { g, .. } => {
-                stream_cap = stream_cap.min(g.len.saturating_sub(base) as u64);
-            }
-            RedPlan::IndBin { l, i, .. } => {
-                stream_cap = stream_cap
-                    .min(l.len.saturating_sub(base) as u64)
-                    .min(i.len.saturating_sub(base) as u64);
-            }
-        }
-        let mut acc = acc0;
-        let mut done = 0u64;
-        let mut fuel = self.fuel;
-        let interrupts = self.interrupts;
-        let mut trips = 0u64;
-        let mut folds = 0u64;
-        let mut c = HotCounters::default();
-        let mut result: Result<(), RunError> = Ok(());
-        let mut vec_on = true;
-        self.node_stack.push(id);
-        'outer: while done < total {
-            if vec_on {
-                let mut safe = vector::burst(stream_cap.saturating_sub(done), fuel, interrupts);
-                'chunks: while safe >= L as u64 {
-                    let at = base + done as usize;
-                    let mut m = [0.0f64; L];
-                    match &plan {
-                        RedPlan::Stream(g) => {
-                            m.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                        }
-                        RedPlan::SplatBin { x, op, g } => {
-                            let mut lanes = [0.0f64; L];
-                            lanes.copy_from_slice(&self.words[g.woff + at..g.woff + at + L]);
-                            vector::bin_splat(*op, *x, &lanes, &mut m);
-                        }
-                        RedPlan::IndBin { l, op, i, o } => {
-                            let mut lv = [0.0f64; L];
-                            lv.copy_from_slice(&self.words[l.woff + at..l.woff + at + L]);
-                            let mut iv = [0.0f64; L];
-                            iv.copy_from_slice(&self.words[i.woff + at..i.woff + at + L]);
-                            let mut idx = [0usize; L];
-                            if !vector::to_indices(&iv, &mut idx) {
-                                vec_on = false; // scalar re-run raises NegativeIndex
-                                break 'chunks;
-                            }
-                            let mut max_ix = 0usize;
-                            for &ix in &idx {
-                                max_ix = max_ix.max(ix);
-                            }
-                            if max_ix >= o.len {
-                                vec_on = false; // scalar re-run raises OutOfBounds
-                                break 'chunks;
-                            }
-                            let mut rv = [0.0f64; L];
-                            for k in 0..L {
-                                rv[k] = self.words[o.woff + idx[k]];
-                            }
-                            vector::bin_lanes(*op, &lv, &rv, &mut m);
-                        }
-                    }
-                    // The reduction itself stays serial in lane order:
-                    // bit-identical f64 summation.
-                    for &x in &m {
-                        acc += x;
-                    }
-                    done += L as u64;
-                    fuel -= L as u64;
-                    safe -= L as u64;
-                    trips += L as u64;
-                    folds += L as u64;
-                    c.sram_reads += reads_per * L as u64;
-                    c.shuffles += shuf_per * L as u64;
-                    c.alu_ops += alu_per * L as u64;
-                }
-                if done >= total {
-                    break 'outer;
-                }
-            }
-            // Scalar step (tail / boundary / faulting-chunk re-run):
-            // per-iteration fuel semantics plus the generic operand
-            // path, exactly as the generic reduce loop.
-            if fuel == 0 {
-                result = Err(exhausted_fuel(self.fuel_cause, self.step_limit));
-                break 'outer;
-            }
-            fuel -= 1;
-            if interrupts && fuel & INTERRUPT_MASK == 0 {
-                if let Err(e) = check_interrupts(
-                    self.deadline_at,
-                    self.deadline_ms(),
-                    self.budget.cancel.as_ref(),
-                ) {
-                    result = Err(e);
-                    break 'outer;
-                }
-            }
-            self.env[var] = Some(lo + done as f64);
-            trips += 1;
-            match self.operand_value(prog, expr) {
-                Ok(x) => {
-                    folds += 1;
-                    acc += x;
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break 'outer;
-                }
-            }
-            done += 1;
-        }
-        self.fuel = fuel;
-        if result.is_ok() {
-            self.node_stack.pop();
-        }
-        self.dense.node_trips[id] += trips;
-        self.dense.sram_reads += c.sram_reads;
-        self.dense.shuffle_accesses += c.shuffles;
-        self.dense.alu_ops += c.alu_ops;
-        if folds > 0 {
-            self.dense.reduce_elems += folds;
-            self.dense.alu_ops += folds;
-        }
-        if let Err(e) = result {
-            return Some(Err(e));
-        }
-        self.env[var] = saved;
-        self.write_reduce_acc(Some(reg), acc);
         Some(Ok(end))
     }
 
@@ -4949,7 +3564,7 @@ impl Machine {
                     tos = self.vstack.pop().expect("stack below condition");
                     *alu += 1;
                     // Both sides are wires in hardware; evaluating only
-                    // the taken side mirrors the tree walker's mux and
+                    // the taken side mirrors the reference engine's mux and
                     // avoids spurious OOB on the masked side.
                     pc = if c != 0.0 { pc + 1 } else { target as usize };
                 }
@@ -4963,7 +3578,7 @@ impl Machine {
     }
 
     /// Reads the accumulator register at loop entry when the loop is a
-    /// `Reduce` (the error ordering the tree walker has: a missing
+    /// `Reduce` (the error ordering the reference engine has: a missing
     /// register is reported before the counter bounds are evaluated).
     fn read_reduce_acc(&self, reduce: Option<Slot>) -> Result<f64, RunError> {
         match reduce {
@@ -4973,7 +3588,7 @@ impl Machine {
     }
 
     /// Writes the accumulator back at loop exit. Silently skips a slot
-    /// that is no longer a register, as the tree walker does.
+    /// that is no longer a register, as the reference engine does.
     fn write_reduce_acc(&mut self, reduce: Option<Slot>, acc: f64) {
         if let Some(reg) = reduce {
             let st = self.chip[reg as usize];
@@ -5046,8 +3661,8 @@ impl Machine {
         if idx < dim {
             // `scan_emits` counts the emit position being *reached* —
             // even when the step charge then aborts — while
-            // `node_trips` counts charged steps, matching the tree and
-            // reference walkers exactly.
+            // `node_trips` counts charged steps, matching the reference
+            // engine exactly.
             self.dense.scan_emits += 1;
             self.charge_step()?;
             self.scan_depth = depth + 1;
@@ -5216,7 +3831,7 @@ impl Machine {
             } => {
                 let buf = &scan_pool[*depth];
                 // The emitting index advances its positions after the
-                // body, exactly as the tree walkers do.
+                // body, exactly as the reference engine does.
                 if buf.a_set(*idx) {
                     *ap += 1;
                 }
@@ -5295,10 +3910,9 @@ mod tests {
     use crate::ir::{Counter, MemDecl, SExpr, SpatialStmt};
     use crate::reference::ReferenceMachine;
 
-    /// Runs `program` on all three engines (bytecode, resolved tree,
-    /// string-keyed reference) with the given DRAM inputs and asserts
-    /// byte-identical DRAM contents plus identical statistics (or
-    /// identical errors).
+    /// Runs `program` on the bytecode engine and the string-keyed
+    /// reference with the given DRAM inputs and asserts byte-identical
+    /// DRAM contents plus identical statistics (or identical errors).
     fn assert_engines_agree(program: &SpatialProgram, writes: &[(&str, Vec<f64>)]) -> ExecStats {
         let mut fast = Machine::new(program);
         let mut reference = ReferenceMachine::new(program);
@@ -5306,23 +3920,16 @@ mod tests {
             fast.write_dram(name, data).unwrap();
             reference.write_dram(name, data).unwrap();
         }
-        let mut tree = fast.clone();
         let fast_result = fast.run(program);
-        let tree_result = tree.run_tree(program);
         let ref_result = reference.run(program);
-        assert_eq!(fast_result, tree_result, "bytecode vs tree results diverge");
         assert_eq!(fast_result, ref_result, "run results diverge");
         for d in &program.drams {
             let a = fast.dram(&d.name).unwrap();
-            let t = tree.dram(&d.name).unwrap();
             let b = reference.dram(&d.name).unwrap();
             let a_bits: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-            let t_bits: Vec<u64> = t.iter().map(|v| v.to_bits()).collect();
             let b_bits: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a_bits, t_bits, "DRAM {} bytecode vs tree diverges", d.name);
             assert_eq!(a_bits, b_bits, "DRAM {} diverges", d.name);
         }
-        assert_eq!(fast.stats(), tree.stats(), "bytecode vs tree stats diverge");
         assert_eq!(fast.stats(), reference.stats(), "stats diverge");
         fast_result.unwrap_or_else(|_| fast.stats().clone())
     }
@@ -5852,6 +4459,69 @@ mod tests {
         let err = m.run(&p).unwrap_err();
         assert!(matches!(err, RunError::OutOfBounds { .. }));
         assert_engines_agree(&p, &[]);
+    }
+
+    /// `NaN as usize` is 0, so a NaN index once silently addressed
+    /// element 0. Both engines must reject it with the same typed error
+    /// — a load bound, an SRAM read, and a DRAM store alike — and leave
+    /// the output untouched.
+    #[test]
+    fn nan_index_is_rejected_on_both_engines() {
+        let nan_ix = || SExpr::read("ix", SExpr::Const(0.0));
+        let cases = [
+            (
+                "load start",
+                SpatialStmt::Load {
+                    dst: "xs".into(),
+                    src: "x".into(),
+                    start: nan_ix(),
+                    end: SExpr::Const(4.0),
+                    par: 1,
+                },
+            ),
+            (
+                "xs",
+                SpatialStmt::StoreScalar {
+                    dst: "y".into(),
+                    index: SExpr::Const(0.0),
+                    value: SExpr::read("xs", nan_ix()),
+                },
+            ),
+            (
+                "scalar store index",
+                SpatialStmt::StoreScalar {
+                    dst: "y".into(),
+                    index: nan_ix(),
+                    value: SExpr::Const(7.0),
+                },
+            ),
+        ];
+        for (context, stmt) in cases {
+            let mut p = SpatialProgram::new("nan_index");
+            p.add_dram("ix", 1);
+            p.add_dram("x", 4);
+            p.add_dram("y", 4);
+            p.accel
+                .push(SpatialStmt::Alloc(MemDecl::new("xs", MemKind::Sram, 4)));
+            p.accel.push(stmt);
+            let mut fast = Machine::new(&p);
+            let mut reference = ReferenceMachine::new(&p);
+            for (name, data) in [("ix", vec![f64::NAN]), ("x", vec![1.0, 2.0, 3.0, 4.0])] {
+                fast.write_dram(name, &data).unwrap();
+                reference.write_dram(name, &data).unwrap();
+            }
+            for err in [fast.run(&p).unwrap_err(), reference.run(&p).unwrap_err()] {
+                match err {
+                    RunError::NegativeIndex { context: c, value } => {
+                        assert_eq!(c, context);
+                        assert!(value.is_nan(), "{context}: value {value}");
+                    }
+                    other => panic!("{context}: expected NegativeIndex, got {other:?}"),
+                }
+            }
+            assert_eq!(fast.dram("y").unwrap(), &[0.0; 4], "{context}");
+            assert_eq!(reference.dram("y").unwrap(), &[0.0; 4], "{context}");
+        }
     }
 
     #[test]

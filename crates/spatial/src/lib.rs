@@ -22,19 +22,15 @@
 //! bytecode with a non-recursive dispatch loop and never hashes a
 //! string on its hot path; compiled artifacts are shared behind `Arc`
 //! (and cached by [`ProgramCache`]) so harness sweeps re-bind machines
-//! without re-linking. The PR-1 recursive resolved-tree walker
-//! ([`Machine::run_tree`]) and the original name-keyed walker
-//! ([`ReferenceMachine`]) are preserved as differential-testing oracles
-//! and benchmark baselines.
+//! without re-linking. The original name-keyed walker
+//! ([`ReferenceMachine`]) shares nothing with [`Machine`] and is kept as
+//! the independent differential-testing oracle and benchmark baseline.
 //!
 //! The [`analysis`] module is the static layer over the lowered form:
-//! a structural verifier gating every compile, effect summaries the
-//! shard planner and vector classifier share, and the
-//! bounds-check-elision table the dispatch loop consults.
+//! a structural verifier gating every compile and the effect summaries
+//! the shard planner builds on.
 
-// Every unsafe operation inside an unsafe fn must carry its own
-// unsafe block (and, per the clippy CI gate, its own SAFETY comment).
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod bytecode;
@@ -47,7 +43,6 @@ pub mod reference;
 pub mod resolve;
 pub mod shard;
 pub mod validate;
-pub mod vector;
 
 pub use analysis::{effects_of_span, verify, Effects, VerifyCtx, VerifyError};
 pub use bytecode::{CompiledProgram, ProgramCache, VecClass};
@@ -62,7 +57,7 @@ pub use printer::print_program;
 pub use reference::ReferenceMachine;
 pub use resolve::{resolve, DramLayout, DramRegion, ResolvedProgram, Slot, SymbolTable};
 pub use shard::{
-    auto_shard_count, auto_shard_count_for, CompiledShards, NotShardable, ShardError, ShardPlan,
-    ShardedRun, MIN_TRIPS_PER_SHARD, VECTOR_SHARD_DISCOUNT,
+    auto_shard_count, CompiledShards, NotShardable, ShardError, ShardPlan, ShardedRun,
+    MIN_TRIPS_PER_SHARD,
 };
 pub use validate::{validate, ValidationError};

@@ -281,7 +281,8 @@ impl ReferenceMachine {
     }
 
     fn index_of(&self, v: f64, context: &str) -> Result<usize, RunError> {
-        if v < 0.0 {
+        // NaN fails too (`NaN as usize` is 0).
+        if v.is_nan() || v < 0.0 {
             return Err(RunError::NegativeIndex {
                 context: context.to_string(),
                 value: v,

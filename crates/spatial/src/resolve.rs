@@ -442,13 +442,7 @@ impl ArenaLayout {
         for slot in 0..chip_count {
             let region = ChipRegion {
                 word_off: layout.words,
-                // Round every word region up to a whole vector chunk
-                // (crate::vector::LANES). With all regions starting on
-                // a lane boundary, the vector tier's whole-lane loads
-                // and stores on the flat arena are uniformly aligned
-                // relative to the arena start, and a chunked read never
-                // spills into the next slot's region.
-                word_cap: word_need[slot].next_multiple_of(crate::vector::LANES),
+                word_cap: word_need[slot],
                 bit_off: layout.bit_words,
                 bit_words: bit_need[slot],
             };
@@ -1033,12 +1027,10 @@ mod tests {
         let reg = l.chips[syms.chip("r") as usize];
         let bv = l.chips[syms.chip("bv") as usize];
         assert_eq!(s.word_cap, 32, "max of the two allocs");
-        // Word caps round up to whole vector chunks so every region
-        // starts lane-aligned and chunked loads never cross regions.
         assert_eq!(f.word_cap, 8);
-        assert_eq!(reg.word_cap, crate::vector::LANES);
+        assert_eq!(reg.word_cap, 1);
         assert_eq!(bv.bit_words, bit_words_for(100));
-        assert_eq!(l.words, 32 + 8 + crate::vector::LANES);
+        assert_eq!(l.words, 32 + 8 + 1);
         assert_eq!(l.bit_words, 2);
         // Regions are disjoint and packed.
         assert_eq!(s.word_off, 0);

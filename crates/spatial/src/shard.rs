@@ -269,10 +269,6 @@ pub struct ShardPlan {
     hi_int: i64,
     step: i64,
     trips: u64,
-    /// Whether any loop inside the candidate carries a non-`None`
-    /// [`crate::VecClass`] — i.e. a shard's hot loop runs chunked, so
-    /// [`auto_shard_count_for`] discounts its trips.
-    vectorized: bool,
 }
 
 impl ShardPlan {
@@ -427,9 +423,6 @@ impl ShardPlan {
         let mut local: HashSet<&str> = HashSet::new();
         meta.check_stmts(outer_body, &mut bound, &mut local)?;
 
-        let vectorized = (cand_start as usize..cand_end as usize)
-            .any(|pc| parent.vec_class(pc) != crate::VecClass::None);
-
         Ok(ShardPlan {
             parent: Arc::clone(parent),
             stmt_idx: idx,
@@ -437,19 +430,12 @@ impl ShardPlan {
             hi_int,
             step,
             trips,
-            vectorized,
         })
     }
 
     /// Outer-loop iteration count.
     pub fn trips(&self) -> u64 {
         self.trips
-    }
-
-    /// Whether the candidate loop contains vector-eligible inner loops
-    /// (see [`auto_shard_count_for`]).
-    pub fn vectorized(&self) -> bool {
-        self.vectorized
     }
 
     /// Source `accel` index of the candidate loop this plan splits.
@@ -538,28 +524,6 @@ pub fn auto_shard_count(trips: u64, occ: &PoolOccupancy) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let by_trips = usize::try_from(trips / MIN_TRIPS_PER_SHARD).unwrap_or(usize::MAX);
     by_trips.min(slots).min(cores).max(1)
-}
-
-/// Trip discount applied by [`auto_shard_count_for`] when the
-/// candidate loop is vector-eligible: a chunked shard retires its
-/// iterations roughly this factor faster than the scalar model behind
-/// [`MIN_TRIPS_PER_SHARD`] assumes (measured chunk speedups on the
-/// bench kernels run 1.3–2.8×; 2 is the conservative round number), so
-/// a vectorized shard needs proportionally more trips before the
-/// split's fixed overhead amortizes.
-pub const VECTOR_SHARD_DISCOUNT: u64 = 2;
-
-/// Vector-aware sizing: like [`auto_shard_count`], but when the plan's
-/// candidate loop is proven vector-eligible the trip count is divided
-/// by [`VECTOR_SHARD_DISCOUNT`] first — chunked shards finish sooner,
-/// so the same trip count justifies fewer shards.
-pub fn auto_shard_count_for(plan: &ShardPlan, occ: &PoolOccupancy) -> usize {
-    let trips = if plan.vectorized() {
-        plan.trips() / VECTOR_SHARD_DISCOUNT
-    } else {
-        plan.trips()
-    };
-    auto_shard_count(trips, occ)
 }
 
 /// Integral constant bound with exact-f64 headroom, or the typed

@@ -207,18 +207,10 @@ fn build_image(compiled: &Arc<CompiledProgram>, seed: u64) -> DramImage {
 }
 
 /// Serial expectation: a fresh machine bound to the image, run once.
-fn run_serial(
-    compiled: &Arc<CompiledProgram>,
-    image: &DramImage,
-    tree: bool,
-) -> (ExecStats, Vec<Vec<u64>>) {
+fn run_serial(compiled: &Arc<CompiledProgram>, image: &DramImage) -> (ExecStats, Vec<Vec<u64>>) {
     let mut m = Machine::from_compiled(Arc::clone(compiled));
     m.bind_image(image).expect("serial bind");
-    let stats = if tree {
-        m.run_tree(compiled.source()).expect("serial tree run")
-    } else {
-        m.run(compiled.source()).expect("serial run")
-    };
+    let stats = m.run(compiled.source()).expect("serial run");
     (stats, output_bits(&m, compiled))
 }
 
@@ -239,17 +231,13 @@ fn output_bits(m: &Machine, compiled: &Arc<CompiledProgram>) -> Vec<Vec<u64>> {
 
 proptest! {
     /// Sharded runs reproduce the serial bytecode run bitwise — DRAM
-    /// outputs and statistics — at shard counts 1..=8, and the serial
-    /// bytecode run itself agrees with the resolved-tree engine.
+    /// outputs and statistics — at shard counts 1..=8.
     #[test]
     fn sharded_run_is_bitwise_identical_to_serial(seed in 0u64..400, shards in 1usize..=8) {
         let p = random_shardable_program(seed);
         let compiled = Arc::new(CompiledProgram::compile(&p));
         let image = build_image(&compiled, seed);
-        let (serial_stats, serial_out) = run_serial(&compiled, &image, false);
-        let (tree_stats, tree_out) = run_serial(&compiled, &image, true);
-        prop_assert_eq!(&serial_stats, &tree_stats, "bytecode vs tree stats diverge");
-        prop_assert_eq!(&serial_out, &tree_out, "bytecode vs tree outputs diverge");
+        let (serial_stats, serial_out) = run_serial(&compiled, &image);
 
         let plan = ShardPlan::analyze(&compiled).expect("generator emits shardable programs");
         let sharded = plan.compile(shards);
@@ -273,7 +261,7 @@ proptest! {
         let p = random_shardable_program(seed);
         let compiled = Arc::new(CompiledProgram::compile(&p));
         let image = build_image(&compiled, seed);
-        let (serial_stats, serial_out) = run_serial(&compiled, &image, false);
+        let (serial_stats, serial_out) = run_serial(&compiled, &image);
 
         let plan = ShardPlan::analyze(&compiled).expect("shardable");
         let sharded = plan.compile(6);
@@ -295,7 +283,7 @@ proptest! {
         let p = random_shardable_program(seed);
         let compiled = Arc::new(CompiledProgram::compile(&p));
         let image = build_image(&compiled, seed);
-        let (serial_stats, serial_out) = run_serial(&compiled, &image, false);
+        let (serial_stats, serial_out) = run_serial(&compiled, &image);
 
         let plan = ShardPlan::analyze(&compiled).expect("shardable");
         let sharded = plan.compile(4);
@@ -335,7 +323,7 @@ fn injected_panic_mid_shard_recovers_bitwise() {
     let p = random_shardable_program(7);
     let compiled = Arc::new(CompiledProgram::compile(&p));
     let image = build_image(&compiled, 7);
-    let (serial_stats, serial_out) = run_serial(&compiled, &image, false);
+    let (serial_stats, serial_out) = run_serial(&compiled, &image);
 
     let sharded = ShardPlan::analyze(&compiled).expect("shardable").compile(4);
     let pool = MachinePool::new();
@@ -688,7 +676,7 @@ fn scan2_union_body_shards_bitwise() {
 
     let compiled = Arc::new(CompiledProgram::compile(&p));
     let image = DramImage::builder(Arc::clone(&compiled)).finish();
-    let (serial_stats, serial_out) = run_serial(&compiled, &image, false);
+    let (serial_stats, serial_out) = run_serial(&compiled, &image);
     let sharded = ShardPlan::analyze(&compiled)
         .expect("scan2 body with local state is shardable")
         .compile(3);
@@ -745,7 +733,7 @@ fn auto_sized_partition_is_bitwise_identical() {
     let p = random_shardable_program(4242);
     let compiled = Arc::new(CompiledProgram::compile(&p));
     let image = DramImage::builder(Arc::clone(&compiled)).finish();
-    let (serial_stats, serial_out) = run_serial(&compiled, &image, false);
+    let (serial_stats, serial_out) = run_serial(&compiled, &image);
     let plan = ShardPlan::analyze(&compiled).expect("generated programs are shardable");
     let occ = stardust_spatial::PoolOccupancy {
         idle: 3,
@@ -915,86 +903,4 @@ fn rejects_suffix_depending_on_body() {
         Err(NotShardable::SuffixDependsOnBody { name }) => assert_eq!(name, "s"),
         other => panic!("expected SuffixDependsOnBody, got {other:?}"),
     }
-}
-
-/// Vector-aware sizing: a plan whose candidate contains a
-/// vector-eligible inner loop is discounted by
-/// [`stardust_spatial::VECTOR_SHARD_DISCOUNT`], so the same trip count
-/// yields fewer, larger shards than the scalar policy grants.
-#[test]
-fn auto_shard_count_discounts_vectorized_plans() {
-    use stardust_spatial::{
-        auto_shard_count, auto_shard_count_for, PoolOccupancy, MIN_TRIPS_PER_SHARD,
-        VECTOR_SHARD_DISCOUNT,
-    };
-    let trips = 4 * MIN_TRIPS_PER_SHARD;
-    let mut p = skeleton();
-    p.accel.push(SpatialStmt::Foreach {
-        id: 0,
-        counter: Counter::range_to("i", SExpr::Const(trips as f64)),
-        par: 1,
-        body: vec![
-            SpatialStmt::Alloc(MemDecl::new("s", MemKind::Sram, SIZE)),
-            // A vector-eligible inner fill: `s[j] = j`.
-            SpatialStmt::Foreach {
-                id: 1,
-                counter: Counter::range_to("j", SExpr::Const(SIZE as f64)),
-                par: 1,
-                body: vec![SpatialStmt::WriteMem {
-                    mem: "s".into(),
-                    index: SExpr::var("j"),
-                    value: SExpr::var("j"),
-                    random: false,
-                }],
-            },
-            SpatialStmt::StoreScalar {
-                dst: "out0".into(),
-                index: SExpr::bin(
-                    stardust_spatial::BinSOp::Mod,
-                    SExpr::var("i"),
-                    SExpr::Const(OUT as f64),
-                ),
-                value: SExpr::read("s", SExpr::Const(2.0)),
-            },
-        ],
-    });
-    p.assign_ids();
-    let compiled = Arc::new(CompiledProgram::compile(&p));
-    let plan = ShardPlan::analyze(&compiled).expect("vectorized candidate proves");
-    assert!(
-        plan.vectorized(),
-        "inner fill must classify vector-eligible"
-    );
-    let wide = PoolOccupancy {
-        idle: 64,
-        shards: 64,
-        ..PoolOccupancy::default()
-    };
-    let scalar_n = auto_shard_count(plan.trips(), &wide);
-    let vector_n = auto_shard_count_for(&plan, &wide);
-    assert_eq!(
-        auto_shard_count(plan.trips() / VECTOR_SHARD_DISCOUNT, &wide),
-        vector_n,
-        "discount must divide trips by VECTOR_SHARD_DISCOUNT"
-    );
-    // On hosts with enough cores for the trip cap to bind, the
-    // discount visibly halves the split.
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    if cores >= 4 {
-        assert!(
-            vector_n < scalar_n,
-            "vectorized plan must split less: {vector_n} vs {scalar_n}"
-        );
-    }
-    // A scalar plan of the same shape is not discounted.
-    let mut q = skeleton();
-    q.accel.push(trailing_loop(vec![store_i()]));
-    q.assign_ids();
-    let qc = Arc::new(CompiledProgram::compile(&q));
-    let qplan = ShardPlan::analyze(&qc).expect("scalar candidate proves");
-    assert!(!qplan.vectorized());
-    assert_eq!(
-        auto_shard_count_for(&qplan, &wide),
-        auto_shard_count(qplan.trips(), &wide)
-    );
 }

@@ -1,95 +1,63 @@
-//! Differential tests for the data-parallel (vector) execution tier.
+//! Differential tests for the bytecode superinstructions.
 //!
-//! The vector tier must be *observably invisible*: for every program it
-//! chunks, the bytecode engine with vectorization on must produce
-//! bitwise-identical DRAM, identical `ExecStats`, and identical errors
-//! to the scalar bytecode engine, the resolved-tree walker, and the
-//! string-keyed reference engine. These tests sweep the remainder
-//! lengths around the chunk width (0, 1, LANES-1, LANES, LANES+1,
-//! 2*LANES-1, ...), misaligned loop starts, faulting lanes in the
-//! middle of a chunk, and — the fuel-drift regression — step budgets
-//! that exhaust *inside* a vector chunk, where the abort point must
-//! land on the identical iteration with the identical partial DRAM.
-//! Raise `PROPTEST_CASES` for deeper sweeps (CI does).
+//! The scatter loop (`RangeSimple` over a lone `WriteMem`/`RmwAdd`),
+//! the empty-body gather reduction, multi-statement straight-line
+//! bodies, and the `Scan1Simple`/`Scan2Simple` word skip must all be
+//! *observably invisible*: for every program they run, the bytecode
+//! engine must produce bitwise-identical DRAM, identical `ExecStats`,
+//! and identical errors to the string-keyed reference engine. These
+//! tests sweep loop lengths and misaligned starts around multiples of
+//! [`W`], faulting indices in the middle of a loop, and step budgets
+//! that exhaust on every iteration, where the abort point must land on
+//! the identical iteration with the identical partial DRAM. Raise
+//! `PROPTEST_CASES` for deeper sweeps (CI does).
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
+use stardust_spatial::bytecode::Op;
 use stardust_spatial::ir::MemDecl;
-use stardust_spatial::vector::LANES;
 use stardust_spatial::{
-    Counter, Machine, MemKind, ReferenceMachine, RunBudget, SExpr, ScanOp, SpatialProgram,
-    SpatialStmt,
+    CompiledProgram, Counter, Machine, MemKind, ReferenceMachine, RunBudget, SExpr, ScanOp,
+    SpatialProgram, SpatialStmt,
 };
 
-/// Runs `p` on four engines — bytecode with the vector tier forced on,
-/// bytecode with it forced off, the resolved-tree walker, and the
-/// reference engine — and asserts identical results (or errors),
-/// bitwise-identical DRAM, and identical statistics. An optional step
-/// budget applies to all four.
+/// Sweep period: loop lengths and starts are chosen around multiples
+/// of it (0, 1, W-1, W, W+1, 2W-1, ...), so empty, single-trip, and
+/// off-by-one remainders are all covered.
+const W: usize = 8;
+
+/// Runs `p` on the bytecode engine and the reference engine and
+/// asserts identical results (or errors), bitwise-identical DRAM, and
+/// identical statistics. An optional step budget applies to both.
 fn assert_engines_agree(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], fuel: Option<u64>) {
-    let mut vec_m = Machine::new(p);
-    for (name, data) in writes {
-        vec_m.write_dram(name, data).unwrap();
-    }
-    if let Some(f) = fuel {
-        vec_m.set_budget(RunBudget::unlimited().with_max_steps(f));
-    }
-    let mut scalar_m = vec_m.clone();
-    let mut tree_m = vec_m.clone();
+    let mut bytecode = Machine::new(p);
     let mut reference = ReferenceMachine::new(p);
     for (name, data) in writes {
+        bytecode.write_dram(name, data).unwrap();
         reference.write_dram(name, data).unwrap();
     }
     if let Some(f) = fuel {
+        bytecode.set_budget(RunBudget::unlimited().with_max_steps(f));
         reference.set_budget(RunBudget::unlimited().with_max_steps(f));
     }
-    vec_m.set_vector_mode(true);
-    scalar_m.set_vector_mode(false);
-    let rv = vec_m.run(p);
-    let rs = scalar_m.run(p);
-    let rt = tree_m.run_tree(p);
+    let rb = bytecode.run(p);
     let rr = reference.run(p);
-    assert_eq!(rv, rs, "vector vs scalar bytecode results diverge");
-    assert_eq!(rv, rt, "vector bytecode vs tree results diverge");
-    assert_eq!(rv, rr, "vector bytecode vs reference results diverge");
+    assert_eq!(rb, rr, "bytecode vs reference results diverge");
     for d in &p.drams {
         let bits =
             |m: Option<&[f64]>| -> Vec<u64> { m.unwrap().iter().map(|v| v.to_bits()).collect() };
-        let v = bits(vec_m.dram(&d.name));
         assert_eq!(
-            v,
-            bits(scalar_m.dram(&d.name)),
-            "DRAM {} vector vs scalar diverges",
-            d.name
-        );
-        assert_eq!(
-            v,
-            bits(tree_m.dram(&d.name)),
-            "DRAM {} vector vs tree diverges",
-            d.name
-        );
-        assert_eq!(
-            v,
+            bits(bytecode.dram(&d.name)),
             bits(reference.dram(&d.name)),
-            "DRAM {} vector vs reference diverges",
+            "DRAM {} bytecode vs reference diverges",
             d.name
         );
     }
     assert_eq!(
-        vec_m.stats(),
-        scalar_m.stats(),
-        "vector vs scalar stats diverge"
-    );
-    assert_eq!(
-        vec_m.stats(),
-        tree_m.stats(),
-        "vector vs tree stats diverge"
-    );
-    assert_eq!(
-        vec_m.stats(),
+        bytecode.stats(),
         reference.stats(),
-        "vector vs reference stats diverge"
+        "bytecode vs reference stats diverge"
     );
 }
 
@@ -125,11 +93,11 @@ const XS: usize = 32;
 const ACC: usize = 24;
 
 /// The CSR SpMV inner loop over `j in [lo, lo+n)`:
-/// `r += vals_s[j] * x_s[crd_s[j]]` with an empty body — the
-/// `GatherReduce` vector class.
+/// `r += vals_s[j] * x_s[crd_s[j]]` with an empty body — a reducing
+/// `RangeSimple`.
 fn reduce_program(n: usize, lo: usize) -> SpatialProgram {
     let len = (lo + n).max(1);
-    let mut p = SpatialProgram::new("vec_reduce");
+    let mut p = SpatialProgram::new("reduce");
     p.add_dram("vals", len);
     p.add_dram("crd", len);
     p.add_dram("x", XS);
@@ -167,11 +135,11 @@ fn reduce_program(n: usize, lo: usize) -> SpatialProgram {
 }
 
 /// The SpMSpM accumulation loop over `j in [lo, lo+n)`:
-/// `acc_s[crd_s[j]] += vb * vals_s[j]` — the `Scatter` vector class
-/// with a gathered index.
+/// `acc_s[crd_s[j]] += vb * vals_s[j]` — the scatter loop with a
+/// gathered index.
 fn scatter_program(n: usize, lo: usize) -> SpatialProgram {
     let len = (lo + n).max(1);
-    let mut p = SpatialProgram::new("vec_scatter");
+    let mut p = SpatialProgram::new("scatter");
     p.add_dram("vals", len);
     p.add_dram("crd", len);
     p.add_dram("out", ACC);
@@ -211,10 +179,10 @@ fn scatter_program(n: usize, lo: usize) -> SpatialProgram {
 }
 
 /// A dense fill over `j in [lo, lo+n)`: `s[j] = vals_s[j]` — the
-/// `Scatter` class with the iota index plan.
+/// scatter loop indexed by the loop variable itself.
 fn dense_fill_program(n: usize, lo: usize) -> SpatialProgram {
     let len = (lo + n).max(1);
-    let mut p = SpatialProgram::new("vec_fill");
+    let mut p = SpatialProgram::new("fill");
     p.add_dram("vals", len);
     p.add_dram("out", len);
     alloc(&mut p, "vals_s", MemKind::Sram, len);
@@ -265,23 +233,24 @@ fn reduce_inputs(n: usize, lo: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)
     ]
 }
 
-/// Remainder sweep: every length around the chunk width, crossed with
-/// aligned and misaligned loop starts, on all three vector classes.
+/// Remainder sweep: every length around multiples of [`W`], crossed
+/// with aligned and misaligned loop starts, on the reduce, scatter, and
+/// fill shapes.
 #[test]
 fn remainder_lengths_and_offsets_are_bit_identical() {
     let lengths = [
         0,
         1,
-        LANES - 1,
-        LANES,
-        LANES + 1,
-        2 * LANES - 1,
-        2 * LANES,
-        2 * LANES + 1,
-        5 * LANES + 3,
+        W - 1,
+        W,
+        W + 1,
+        2 * W - 1,
+        2 * W,
+        2 * W + 1,
+        5 * W + 3,
     ];
     for &n in &lengths {
-        for lo in [0usize, 1, 3, LANES - 1] {
+        for lo in [0usize, 1, 3, W - 1] {
             let seed = (n * 31 + lo) as u64;
             assert_engines_agree(&reduce_program(n, lo), &reduce_inputs(n, lo, seed), None);
             assert_engines_agree(&scatter_program(n, lo), &scatter_inputs(n, lo, seed), None);
@@ -295,23 +264,23 @@ fn remainder_lengths_and_offsets_are_bit_identical() {
     }
 }
 
-/// A faulting lane in the middle of a chunk: the error position, the
-/// partial DRAM before it, and the statistics must match the scalar
-/// engines exactly (the chunk is re-run scalar, committing nothing).
+/// A faulting index in the middle of a loop: the error position, the
+/// partial DRAM before it, and the statistics must match the reference
+/// exactly.
 #[test]
-fn faulting_lanes_mid_chunk_match_scalar_semantics() {
-    let n = 3 * LANES;
-    // Out-of-bounds destination index in the middle of the second chunk.
+fn faulting_index_mid_loop_matches_reference() {
+    let n = 3 * W;
+    // Out-of-bounds destination index mid-loop.
     let mut inputs = scatter_inputs(n, 0, 7);
-    inputs[1].1[LANES + 3] = ACC as f64 + 5.0;
+    inputs[1].1[W + 3] = ACC as f64 + 5.0;
     assert_engines_agree(&scatter_program(n, 0), &inputs, None);
-    // Negative index in the middle of the first chunk.
+    // Negative index early in the loop.
     let mut inputs = scatter_inputs(n, 0, 8);
     inputs[1].1[3] = -2.0;
     assert_engines_agree(&scatter_program(n, 0), &inputs, None);
     // Out-of-bounds outer gather in the SpMV dot product.
     let mut inputs = reduce_inputs(n, 0, 9);
-    inputs[1].1[2 * LANES + 1] = XS as f64;
+    inputs[1].1[2 * W + 1] = XS as f64;
     assert_engines_agree(&reduce_program(n, 0), &inputs, None);
     // Negative inner index in the SpMV dot product.
     let mut inputs = reduce_inputs(n, 0, 10);
@@ -319,20 +288,23 @@ fn faulting_lanes_mid_chunk_match_scalar_semantics() {
     assert_engines_agree(&reduce_program(n, 0), &inputs, None);
 }
 
-/// The fuel-drift regression: sweep step budgets so exhaustion lands on
-/// every iteration of the chunked loops — including points strictly
-/// inside a vector chunk. The abort must come at the identical step
-/// with byte-identical partial DRAM on all four engines.
+/// Sweep step budgets so exhaustion lands on every iteration of the
+/// superinstruction loops (whose fuel lives in a register). The abort
+/// must come at the identical step with byte-identical partial DRAM on
+/// both engines.
 #[test]
-fn budget_aborts_inside_chunks_are_identical() {
-    let n = 5 * LANES;
+fn budget_aborts_on_every_iteration_are_identical() {
+    let n = 5 * W;
     let reduce = reduce_program(n, 0);
     let reduce_in = reduce_inputs(n, 0, 21);
     let scatter = scatter_program(n, 0);
     let scatter_in = scatter_inputs(n, 0, 22);
+    let fill = dense_fill_program(n, 0);
+    let fill_in = [("vals", series(23, n, 64, 0.125))];
     for fuel in 1..=(n as u64 + 24) {
         assert_engines_agree(&reduce, &reduce_in, Some(fuel));
         assert_engines_agree(&scatter, &scatter_in, Some(fuel));
+        assert_engines_agree(&fill, &fill_in, Some(fuel));
     }
 }
 
@@ -360,7 +332,7 @@ fn bitvector(p: &mut SpatialProgram, name: &str, coords: &[usize], dim: usize) {
 /// A two-vector union scan writing `idx + pa - pb` per emit: exercises
 /// the whole-word skip paths (empty words, word-boundary bits, tails).
 fn scan_union_program(coords_a: &[usize], coords_b: &[usize], dim: usize) -> SpatialProgram {
-    let mut p = SpatialProgram::new("vec_scan");
+    let mut p = SpatialProgram::new("scan");
     p.add_dram("out", dim);
     bitvector(&mut p, "bva", coords_a, dim);
     bitvector(&mut p, "bvb", coords_b, dim);
@@ -400,7 +372,7 @@ fn scan_union_program(coords_a: &[usize], coords_b: &[usize], dim: usize) -> Spa
 
 /// A one-vector scan writing the dense coordinate per emit.
 fn scan1_program(coords: &[usize], dim: usize) -> SpatialProgram {
-    let mut p = SpatialProgram::new("vec_scan1");
+    let mut p = SpatialProgram::new("scan1");
     p.add_dram("out", dim.max(1));
     bitvector(&mut p, "bv", coords, dim);
     p.accel.push(SpatialStmt::Foreach {
@@ -422,8 +394,8 @@ fn scan1_program(coords: &[usize], dim: usize) -> SpatialProgram {
 }
 
 /// The scan word-skip paths: empty vectors, single bits at word
-/// boundaries, dense words, and ragged tails must all emit identically
-/// with the vector tier on and off.
+/// boundaries, dense words, and ragged tails must all emit exactly as
+/// the reference's bit-by-bit probe does.
 #[test]
 fn scan_word_skip_is_bit_identical() {
     let dim = 200;
@@ -447,12 +419,12 @@ fn scan_word_skip_is_bit_identical() {
     }
 }
 
-/// Random (length, offset, data, fuel) sweeps over all three range
-/// vector classes, with occasional faulting indices mixed in.
+/// Random (length, offset, data, fuel) sweeps over the reduce,
+/// scatter, and fill shapes, with occasional faulting indices mixed in.
 fn random_case(seed: u64) {
-    let mut rng = TestRng::for_test(&format!("vector-{seed}"));
-    let n = rng.below(8 * LANES as u64) as usize;
-    let lo = rng.below(2 * LANES as u64) as usize;
+    let mut rng = TestRng::for_test(&format!("superinstruction-{seed}"));
+    let n = rng.below(8 * W as u64) as usize;
+    let lo = rng.below(2 * W as u64) as usize;
     let fuel = match rng.below(3) {
         0 => None,
         _ => Some(1 + rng.below((n as u64 + 8) * 2)),
@@ -494,24 +466,21 @@ fn random_case(seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Randomized remainder/offset/fault/fuel sweep: the vector tier is
-    /// observably invisible on random cases too.
+    /// Randomized remainder/offset/fault/fuel sweep: the
+    /// superinstructions are observably invisible on random cases too.
     #[test]
-    fn random_vector_cases_are_bit_identical(seed in 0u64..1_000_000) {
+    fn random_superinstruction_cases_are_bit_identical(seed in 0u64..1_000_000) {
         random_case(seed);
     }
 }
 
 /// A fused fill/update loop — *three* statements per iteration:
 /// `s1[j] = vals_s[j]`, `acc_s[crd_s[j]] += vb * vals_s[j]`, and the
-/// computed fill `s2[j] = j * 2.0`. Multi-statement bodies were
-/// `VecClass::None` before the effect-analysis framework; they now
-/// classify as [`VecClass::MultiScatter`] (pairwise-distinct
-/// destinations, no gather reads a written slot) and chunk through the
-/// vector tier with statement-major commits.
+/// computed fill `s2[j] = j * 2.0` — a multi-statement `RangeSimple`
+/// body.
 fn multi_body_program(n: usize, lo: usize) -> SpatialProgram {
     let len = (lo + n).max(1);
-    let mut p = SpatialProgram::new("vec_multi");
+    let mut p = SpatialProgram::new("multi");
     p.add_dram("vals", len);
     p.add_dram("crd", len);
     p.add_dram("out1", len);
@@ -582,14 +551,12 @@ fn multi_body_program(n: usize, lo: usize) -> SpatialProgram {
     p
 }
 
-/// The offset dense fill `s[j + off] = vals_s[j]` — previously
-/// `VecClass::None` (the index is not the bare loop variable), now a
-/// [`VecClass::Scatter`] via the `[VarConstBin, End]` offset-iota
-/// index plan.
+/// The offset dense fill `s[j + off] = vals_s[j]`: the scatter loop
+/// with a `[VarConstBin, End]` index expression.
 fn offset_fill_program(n: usize, lo: usize, off: usize) -> SpatialProgram {
     let len = (lo + n).max(1);
     let slen = len + off;
-    let mut p = SpatialProgram::new("vec_offset_fill");
+    let mut p = SpatialProgram::new("offset_fill");
     p.add_dram("vals", len);
     p.add_dram("out", slen);
     alloc(&mut p, "vals_s", MemKind::Sram, len);
@@ -622,13 +589,11 @@ fn offset_fill_program(n: usize, lo: usize, off: usize) -> SpatialProgram {
     p
 }
 
-/// The computed dense fill `s[j] = j * 2.0` — previously
-/// `VecClass::None` (the value is neither a constant, variable, nor
-/// gather), now a [`VecClass::Scatter`] via the per-lane
-/// `[VarConstBin, End]` value plan.
+/// The computed dense fill `s[j] = j * 2.0`: the scatter loop with a
+/// `[VarConstBin, End]` value expression.
 fn computed_fill_program(n: usize, lo: usize) -> SpatialProgram {
     let len = (lo + n).max(1);
-    let mut p = SpatialProgram::new("vec_computed_fill");
+    let mut p = SpatialProgram::new("computed_fill");
     p.add_dram("out", len);
     alloc(&mut p, "s", MemKind::Sram, len);
     p.accel.push(SpatialStmt::Foreach {
@@ -666,41 +631,14 @@ fn multi_inputs(n: usize, lo: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)>
     ]
 }
 
-/// The widened classifier verdicts, asserted on the compiled artifact:
-/// the shapes the new tests sweep must actually take the new paths.
+/// Remainder sweep over multi-statement bodies, offset fills, and
+/// computed fills: bit-identical on both engines at every length and
+/// loop start around multiples of [`W`].
 #[test]
-fn widened_shapes_classify_as_tagged() {
-    use stardust_spatial::{CompiledProgram, VecClass};
-    let find = |p: &SpatialProgram, class: VecClass| {
-        let c = CompiledProgram::compile(p);
-        assert!(
-            (0..c.ops().len()).any(|pc| c.vec_class(pc) == class),
-            "{} never classifies {:?}",
-            p.name,
-            class
-        );
-    };
-    find(&multi_body_program(3 * LANES, 0), VecClass::MultiScatter);
-    find(&offset_fill_program(3 * LANES, 0, 2), VecClass::Scatter);
-    find(&computed_fill_program(3 * LANES, 0), VecClass::Scatter);
-}
-
-/// Remainder sweep over the widened shapes: multi-statement bodies,
-/// offset fills, and computed fills are bit-identical across all four
-/// engines at every length and loop start around the chunk width.
-#[test]
-fn widened_shapes_are_bit_identical() {
-    let lengths = [
-        0,
-        1,
-        LANES - 1,
-        LANES,
-        LANES + 1,
-        2 * LANES + 1,
-        5 * LANES + 3,
-    ];
+fn multi_statement_and_fill_shapes_are_bit_identical() {
+    let lengths = [0, 1, W - 1, W, W + 1, 2 * W + 1, 5 * W + 3];
     for &n in &lengths {
-        for lo in [0usize, 1, LANES - 1] {
+        for lo in [0usize, 1, W - 1] {
             let seed = (n * 37 + lo) as u64;
             let len = (lo + n).max(1);
             assert_engines_agree(&multi_body_program(n, lo), &multi_inputs(n, lo, seed), None);
@@ -716,29 +654,29 @@ fn widened_shapes_are_bit_identical() {
     }
 }
 
-/// A faulting lane in the middle of a multi-statement chunk: the whole
-/// chunk must re-run scalar, committing the exact statement prefix the
-/// scalar engines commit and aborting at the identical statement.
+/// A faulting index in the middle of a multi-statement loop: the
+/// bytecode engine must commit the exact statement prefix the
+/// reference commits and abort at the identical statement.
 #[test]
-fn multi_statement_faults_match_scalar_semantics() {
-    let n = 3 * LANES;
-    // Out-of-bounds accumulate index in the middle of the second chunk:
-    // statement 1 of that iteration faults *after* statement 0's write.
+fn multi_statement_faults_match_reference() {
+    let n = 3 * W;
+    // Out-of-bounds accumulate index mid-loop: statement 1 of that
+    // iteration faults *after* statement 0's write.
     let mut inputs = multi_inputs(n, 0, 41);
-    inputs[1].1[LANES + 5] = ACC as f64 + 3.0;
+    inputs[1].1[W + 5] = ACC as f64 + 3.0;
     assert_engines_agree(&multi_body_program(n, 0), &inputs, None);
-    // Negative index in the first chunk.
+    // Negative index early in the loop.
     let mut inputs = multi_inputs(n, 0, 42);
     inputs[1].1[2] = -4.0;
     assert_engines_agree(&multi_body_program(n, 0), &inputs, None);
 }
 
-/// Fuel exhaustion landing on every iteration of the widened shapes —
-/// including points strictly inside a chunk. Abort step and partial
-/// DRAM must be identical on all four engines.
+/// Fuel exhaustion landing on every iteration of the multi-statement
+/// and fill shapes. Abort step and partial DRAM must be identical on
+/// both engines.
 #[test]
-fn widened_shape_budget_aborts_are_identical() {
-    let n = 3 * LANES;
+fn multi_statement_and_fill_budget_aborts_are_identical() {
+    let n = 3 * W;
     let multi = multi_body_program(n, 0);
     let multi_in = multi_inputs(n, 0, 51);
     let offset = offset_fill_program(n, 0, 3);
@@ -751,80 +689,48 @@ fn widened_shape_budget_aborts_are_identical() {
     }
 }
 
-/// Runs `p` with bounds-check elision forced on and forced off (on
-/// both the vector and scalar bytecode engines) and asserts
-/// bit-identical DRAM, results, and statistics — the elision table
-/// must be observably invisible.
-fn assert_elide_invisible(p: &SpatialProgram, writes: &[(&str, Vec<f64>)], fuel: Option<u64>) {
-    let mut machines = Vec::new();
-    for (vector, elide) in [(true, true), (true, false), (false, true), (false, false)] {
-        let mut m = Machine::new(p);
-        for (name, data) in writes {
-            m.write_dram(name, data).unwrap();
-        }
-        if let Some(f) = fuel {
-            m.set_budget(RunBudget::unlimited().with_max_steps(f));
-        }
-        m.set_vector_mode(vector);
-        m.set_elide_mode(elide);
-        let r = m.run(p);
-        machines.push((vector, elide, m, r));
-    }
-    let (_, _, m0, r0) = &machines[0];
-    for (vector, elide, m, r) in &machines[1..] {
-        assert_eq!(r0, r, "elide divergence (vector={vector}, elide={elide})");
-        for d in &p.drams {
-            let bits = |m: &Machine| -> Vec<u64> {
-                m.dram(&d.name)
-                    .unwrap()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect()
-            };
-            assert_eq!(
-                bits(m0),
-                bits(m),
-                "DRAM {} elide divergence (vector={vector}, elide={elide})",
-                d.name
-            );
-        }
-        assert_eq!(
-            m0.stats(),
-            m.stats(),
-            "stats elide divergence (vector={vector}, elide={elide})"
-        );
-    }
-}
-
-/// Bounds-check elision is observably invisible: dense fills (the
-/// proven-in-bounds shape) and computed fills run bit-identically with
-/// the elision table honored and ignored, across remainder lengths and
-/// mid-loop fuel aborts.
+/// The shapes above must actually take the superinstruction paths, or
+/// the sweeps would only test the generic dispatch loop.
 #[test]
-fn elide_mode_is_observably_invisible() {
-    for &n in &[0usize, 1, LANES, 2 * LANES + 1, 5 * LANES + 3] {
-        for lo in [0usize, 1] {
-            let len = (lo + n).max(1);
-            let vals = series((n + lo) as u64, len, 64, 0.125);
-            assert_elide_invisible(&dense_fill_program(n, lo), &[("vals", vals)], None);
-            assert_elide_invisible(&computed_fill_program(n, lo), &[], None);
-        }
-    }
-    // Fuel aborts inside the elided loop land on the identical step.
-    let n = 2 * LANES + 3;
-    let vals = series(9, n, 64, 0.125);
-    for fuel in 1..=(n as u64 + 8) {
-        assert_elide_invisible(
-            &dense_fill_program(n, 0),
-            &[("vals", vals.clone())],
-            Some(fuel),
-        );
-    }
-    // The elision table licenses the dense fill.
-    use stardust_spatial::CompiledProgram;
-    let c = CompiledProgram::compile(&dense_fill_program(2 * LANES, 0));
-    assert!(
-        (0..c.ops().len()).any(|pc| c.elide_at(pc)),
-        "dense fill carries no elision license"
+fn shapes_lower_to_superinstructions() {
+    let has = |p: &SpatialProgram, what: &str, pred: &dyn Fn(&Op) -> bool| {
+        let c = CompiledProgram::compile(p);
+        assert!(c.ops().iter().any(pred), "{} lowers no {what}", p.name);
+    };
+    let scatter = |op: &Op| {
+        matches!(
+            op,
+            Op::RangeSimple {
+                body_len: 1,
+                reduce: None,
+                ..
+            }
+        )
+    };
+    has(&scatter_program(W, 0), "scatter loop", &scatter);
+    has(&dense_fill_program(W, 0), "scatter loop", &scatter);
+    has(&offset_fill_program(W, 0, 2), "scatter loop", &scatter);
+    has(&computed_fill_program(W, 0), "scatter loop", &scatter);
+    has(&reduce_program(W, 0), "reducing RangeSimple", &|op| {
+        matches!(
+            op,
+            Op::RangeSimple {
+                reduce: Some(_),
+                ..
+            }
+        )
+    });
+    has(
+        &multi_body_program(W, 0),
+        "multi-statement RangeSimple",
+        &|op| matches!(op, Op::RangeSimple { body_len: 3, .. }),
+    );
+    has(&scan1_program(&[1, 70], 128), "Scan1Simple", &|op| {
+        matches!(op, Op::Scan1Simple { .. })
+    });
+    has(
+        &scan_union_program(&[1], &[70], 128),
+        "Scan2Simple",
+        &|op| matches!(op, Op::Scan2Simple { .. }),
     );
 }
