@@ -412,9 +412,9 @@ fn scatter_workload(nnz_target: usize) -> Workload {
 /// Capstan-style declarative-sparse union (the Plus2 inner-loop shape):
 /// per row, both operands' coordinate segments generate packed bit
 /// vectors, and a `Scan2(Or)` reduction co-iterates them. The hot loop
-/// is the scan itself — this entry gates the scan-superinstruction
-/// fast path ([`Op::Scan1Simple`]/[`Op::Scan2Simple`] in the bytecode
-/// engine) against the reference walker.
+/// is the scan itself — this entry gates the scan superinstructions
+/// ([`Op::Scan1Simple`]/[`Op::Scan2Simple`], the bytecode engine's only
+/// form of a scan loop) against the reference walker.
 fn scan_union_workload(nnz_target: usize) -> Workload {
     // Dense-ish rows over a narrow column dimension keep the scanned
     // bit vectors short (8 words) while emits stay proportional to nnz.

@@ -56,9 +56,10 @@ pub enum CompileError {
     /// §7.1, would fall back to the host on a real deployment).
     NoLoweringRule(String),
     /// The static bytecode verifier rejected the lowered program: a
-    /// structural invariant (jump targets, frame balance, slot
-    /// extents, expression stack discipline) does not hold. Always a
-    /// compiler bug, never a user-program error; the typed
+    /// structural invariant (loop body spans nested in their enclosing
+    /// spans, positive `Range` steps, slot extents, expression stack
+    /// discipline) does not hold. The pipeline validates the Spatial
+    /// program first, so this is a compiler bug; the typed
     /// [`VerifyError`] pinpoints the offending op.
     Verify(VerifyError),
     /// A run aborted with a structured interpreter error — including

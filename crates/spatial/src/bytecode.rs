@@ -8,20 +8,23 @@
 //! [`CompiledProgram`]:
 //!
 //! - every statement becomes one fixed-size [`Op`] in a flat `Vec<Op>`,
-//!   with loops compiled to explicit enter/advance ops carrying jump
-//!   targets (`Foreach`, `Reduce`, and the `Scan1`/`Scan2` co-iteration
-//!   counters all share one frame-based protocol), and
+//!   and every loop (`Foreach`, `Reduce`, over a `Range` or a
+//!   `Scan1`/`Scan2` co-iteration counter) becomes one superinstruction
+//!   ([`Op::RangeSimple`], [`Op::Scan1Simple`], [`Op::Scan2Simple`])
+//!   immediately followed by its body span, so nested loops are nested
+//!   spans; and
 //! - every expression tree becomes a postfix [`EOp`] program evaluated
 //!   with a small value stack, with `Select` lowered to conditional
 //!   jumps so the untaken side is skipped exactly as the reference
 //!   engine skips it.
 //!
-//! [`crate::Machine::run`] then executes the op vector with a program
-//! counter and a dense frame stack — no recursion, no per-iteration
-//! closure, branch-predictable dispatch. The original string-keyed
-//! engine survives as [`crate::ReferenceMachine`]; differential tests
-//! hold both engines to byte-identical DRAM images and identical
-//! [`crate::ExecStats`].
+//! [`crate::Machine::run`] then steps the op vector, running each loop
+//! natively inside its superinstruction's dispatch (recursion depth
+//! equals loop nest depth, as in the reference engine) — no
+//! per-iteration closure, branch-predictable dispatch. The original
+//! string-keyed engine survives as [`crate::ReferenceMachine`];
+//! differential tests hold both engines to byte-identical DRAM images
+//! and identical [`crate::ExecStats`].
 //!
 //! Compilation is pure: a [`CompiledProgram`] depends only on the source
 //! program, so it is shared behind `Arc` and cached by program identity
@@ -41,14 +44,6 @@ use crate::resolve::{
 
 /// Index of an [`Op`] in a compiled program (a program-counter value).
 pub type OpId = u32;
-
-/// Maximum nested-loop rank allowed inside one superinstruction
-/// ([`Op::RangeSimple`], [`Op::Scan1Simple`], [`Op::Scan2Simple`]).
-/// Caps the executor's recursion at a constant depth; deeper nests
-/// fall back to the frame-stack protocol. Rank 2 keeps the dominant
-/// sparse shapes — a dense row loop over a per-row scan or reduction —
-/// entirely inside one superinstruction.
-pub const MAX_SIMPLE_RANK: u32 = 2;
 
 /// Index into the flat expression-op array where an expression program
 /// starts; evaluation runs to the matching [`EOp::End`].
@@ -327,11 +322,11 @@ pub enum Op {
         /// Bit-vector length.
         dim: Operand,
     },
-    /// A dense `Range` loop whose body is pure straight-line code (and
-    /// whose optional reduction tail is one expression): the whole loop
-    /// runs as a native loop inside a single dispatch — no frame, no
-    /// per-iteration `Next`. This is the dominant inner-loop shape of
-    /// sparse kernels (per-row reductions, scatter-accumulates).
+    /// A dense `Range` loop (a `Foreach`, or a `Reduce` whose reduction
+    /// tail is one expression): the whole loop runs as a native loop
+    /// inside a single dispatch, its body ops (nested loops included)
+    /// stepped per iteration. The body span `body..body + body_len`
+    /// lies inside the enclosing loop's span.
     RangeSimple {
         /// Pattern node id (trip statistics).
         id: usize,
@@ -351,11 +346,10 @@ pub enum Op {
         /// is a `Reduce`.
         reduce: Option<(Slot, Operand)>,
     },
-    /// A single bit-vector `Scan` loop whose body is straight-line
-    /// (or nests only further superinstructions): the vector is
-    /// snapshotted once and its set bits iterate natively — no frame,
-    /// no per-emit `Next` dispatch. This is the inner-loop shape of
-    /// Capstan-style declarative-sparse kernels.
+    /// A single bit-vector `Scan` loop (see [`Op::RangeSimple`]): the
+    /// vector is snapshotted once and its set bits iterate natively.
+    /// This is the inner-loop shape of Capstan-style
+    /// declarative-sparse kernels.
     Scan1Simple {
         /// Pattern node id (trip statistics).
         id: usize,
@@ -373,9 +367,9 @@ pub enum Op {
         /// is a `Reduce`.
         reduce: Option<(Slot, Operand)>,
     },
-    /// A two-input co-iteration `Scan` loop in superinstruction form
-    /// (see [`Op::Scan1Simple`]): the dominant shape of sparse-sparse
-    /// union and intersection kernels.
+    /// A two-input co-iteration `Scan` loop (see [`Op::Scan1Simple`]):
+    /// the dominant shape of sparse-sparse union and intersection
+    /// kernels.
     Scan2Simple {
         /// Pattern node id (trip statistics).
         id: usize,
@@ -394,69 +388,6 @@ pub enum Op {
         /// `(accumulator register, reduced expression)` when the loop
         /// is a `Reduce`.
         reduce: Option<(Slot, Operand)>,
-    },
-    /// Enter a dense `Range` loop: evaluate the bounds, push a frame,
-    /// and either fall into the body or jump to `exit` on zero trips.
-    EnterRange {
-        /// Pattern node id (trip statistics).
-        id: usize,
-        /// Loop variable slot.
-        var: Slot,
-        /// Inclusive lower bound.
-        min: Operand,
-        /// Exclusive upper bound.
-        max: Operand,
-        /// Step (positive).
-        step: i64,
-        /// Reduction register when this loop is a `Reduce`.
-        reduce: Option<Slot>,
-        /// First op after the loop.
-        exit: OpId,
-    },
-    /// Enter a single bit-vector scan loop.
-    EnterScan1 {
-        /// Pattern node id.
-        id: usize,
-        /// Scanned bit vector (chip slot).
-        bv: Slot,
-        /// Position variable slot.
-        pos_var: Slot,
-        /// Dense-index variable slot.
-        idx_var: Slot,
-        /// Reduction register when this loop is a `Reduce`.
-        reduce: Option<Slot>,
-        /// First op after the loop.
-        exit: OpId,
-    },
-    /// Enter a two-input co-iteration scan loop.
-    EnterScan2 {
-        /// Pattern node id.
-        id: usize,
-        /// Combination operator.
-        op: ScanOp,
-        /// First bit vector (chip slot).
-        bv_a: Slot,
-        /// Second bit vector (chip slot).
-        bv_b: Slot,
-        /// `[a_pos, b_pos, out_pos, idx]` variable slots.
-        vars: [Slot; 4],
-        /// Reduction register when this loop is a `Reduce`.
-        reduce: Option<Slot>,
-        /// First op after the loop.
-        exit: OpId,
-    },
-    /// Fold the per-iteration reduction expression into the innermost
-    /// frame's accumulator (emitted between a `Reduce` body and its
-    /// `Next`).
-    ReduceTail {
-        /// The reduced expression.
-        expr: Operand,
-    },
-    /// Advance the innermost loop frame: jump back to `body` for the
-    /// next iteration, or pop the frame and fall through when done.
-    Next {
-        /// First op of the loop body.
-        body: OpId,
     },
     /// End of program.
     Halt,
@@ -1050,43 +981,9 @@ impl Lowering<'_> {
         }
     }
 
-    /// Nested-loop rank of a body under superinstruction lowering:
-    /// `Some(0)` for pure straight-line code, `Some(n)` when every
-    /// nested loop is itself superinstruction-eligible with rank
-    /// `< n`, `None` when too-deep nesting forces the framed form.
-    /// Every counter kind lowers to a superinstruction
-    /// ([`Op::RangeSimple`], [`Op::Scan1Simple`], [`Op::Scan2Simple`]),
-    /// so only depth disqualifies. The rank bounds the executor's
-    /// constant recursion depth, so it is capped at
-    /// [`MAX_SIMPLE_RANK`].
-    fn simple_rank(body: &[ResolvedStmt]) -> Option<u32> {
-        let mut rank = 0u32;
-        for s in body {
-            let inner = match s {
-                ResolvedStmt::Foreach { body, .. } => body,
-                ResolvedStmt::Reduce { body, .. } => body,
-                _ => continue,
-            };
-            let r = Self::simple_rank(inner)?;
-            if r >= MAX_SIMPLE_RANK {
-                return None;
-            }
-            rank = rank.max(r + 1);
-        }
-        Some(rank)
-    }
-
-    /// Whether a loop body may live inside a [`Op::RangeSimple`]
-    /// (`simple_rank` already rejects over-deep nesting).
-    fn body_is_simple(body: &[ResolvedStmt]) -> bool {
-        Self::simple_rank(body).is_some()
-    }
-
-    /// Emits `Enter* body... [ReduceTail] Next` and patches the enter
-    /// op's exit target to the op after `Next` — or a single
-    /// superinstruction ([`Op::RangeSimple`], [`Op::Scan1Simple`],
-    /// [`Op::Scan2Simple`]) when the body is straight-line (or nests
-    /// only further superinstructions within [`MAX_SIMPLE_RANK`]).
+    /// Emits a single superinstruction ([`Op::RangeSimple`],
+    /// [`Op::Scan1Simple`], [`Op::Scan2Simple`]) followed by its body
+    /// ops; nested loops lower recursively into nested body spans.
     fn lower_loop(
         &mut self,
         id: usize,
@@ -1094,109 +991,53 @@ impl Lowering<'_> {
         body: &[ResolvedStmt],
         reduce: Option<(Slot, ExprId)>,
     ) {
-        if Self::body_is_simple(body) {
-            // Bound operands intern before the body's (placeholder is
-            // pushed first so `body` starts at `enter_at + 1`), the
-            // reduce operand after — matching the framed emission
-            // order below.
-            let header = match counter {
-                ResolvedCounter::Range {
-                    var,
-                    min,
-                    max,
-                    step,
-                } => Some((*var, self.operand(*min), self.operand(*max), *step)),
-                ResolvedCounter::Scan1 { .. } | ResolvedCounter::Scan2 { .. } => None,
-            };
-            let enter_at = self.ops.len();
-            self.ops.push(Op::Halt); // placeholder, patched below
-            for s in body {
-                self.stmt(s);
-            }
-            let body_len = (self.ops.len() - enter_at - 1) as u32;
-            let reduce = reduce.map(|(reg, expr)| (reg, self.operand(expr)));
-            let body = (enter_at + 1) as OpId;
-            self.ops[enter_at] = match counter {
-                ResolvedCounter::Range { .. } => {
-                    let (var, min, max, step) = header.expect("range header");
-                    Op::RangeSimple {
-                        id,
-                        var,
-                        min,
-                        max,
-                        step,
-                        body,
-                        body_len,
-                        reduce,
-                    }
-                }
-                ResolvedCounter::Scan1 {
-                    bv,
-                    pos_var,
-                    idx_var,
-                } => Op::Scan1Simple {
-                    id,
-                    bv: *bv,
-                    pos_var: *pos_var,
-                    idx_var: *idx_var,
-                    body,
-                    body_len,
-                    reduce,
-                },
-                ResolvedCounter::Scan2 {
-                    op,
-                    bv_a,
-                    bv_b,
-                    a_pos_var,
-                    b_pos_var,
-                    out_pos_var,
-                    idx_var,
-                } => Op::Scan2Simple {
-                    id,
-                    op: *op,
-                    bv_a: *bv_a,
-                    bv_b: *bv_b,
-                    vars: [*a_pos_var, *b_pos_var, *out_pos_var, *idx_var],
-                    body,
-                    body_len,
-                    reduce,
-                },
-            };
-            return;
-        }
-        let reduce_reg = reduce.map(|(reg, _)| reg);
-        let enter_at = self.ops.len();
-        match counter {
+        // Bound operands intern before the body's (the placeholder is
+        // pushed first so `body` starts at `enter_at + 1`), the reduce
+        // operand after.
+        let header = match counter {
             ResolvedCounter::Range {
                 var,
                 min,
                 max,
                 step,
-            } => {
-                let min = self.operand(*min);
-                let max = self.operand(*max);
-                self.ops.push(Op::EnterRange {
+            } => Some((*var, self.operand(*min), self.operand(*max), *step)),
+            ResolvedCounter::Scan1 { .. } | ResolvedCounter::Scan2 { .. } => None,
+        };
+        let enter_at = self.ops.len();
+        self.ops.push(Op::Halt); // placeholder, patched below
+        for s in body {
+            self.stmt(s);
+        }
+        let body_len = (self.ops.len() - enter_at - 1) as u32;
+        let reduce = reduce.map(|(reg, expr)| (reg, self.operand(expr)));
+        let body = (enter_at + 1) as OpId;
+        self.ops[enter_at] = match counter {
+            ResolvedCounter::Range { .. } => {
+                let (var, min, max, step) = header.expect("range header");
+                Op::RangeSimple {
                     id,
-                    var: *var,
+                    var,
                     min,
                     max,
-                    step: *step,
-                    reduce: reduce_reg,
-                    exit: 0,
-                });
+                    step,
+                    body,
+                    body_len,
+                    reduce,
+                }
             }
             ResolvedCounter::Scan1 {
                 bv,
                 pos_var,
                 idx_var,
-            } => self.ops.push(Op::EnterScan1 {
+            } => Op::Scan1Simple {
                 id,
                 bv: *bv,
                 pos_var: *pos_var,
                 idx_var: *idx_var,
-                reduce: reduce_reg,
-                exit: 0,
-            }),
+                body,
+                body_len,
+                reduce,
+            },
             ResolvedCounter::Scan2 {
                 op,
                 bv_a,
@@ -1205,32 +1046,17 @@ impl Lowering<'_> {
                 b_pos_var,
                 out_pos_var,
                 idx_var,
-            } => self.ops.push(Op::EnterScan2 {
+            } => Op::Scan2Simple {
                 id,
                 op: *op,
                 bv_a: *bv_a,
                 bv_b: *bv_b,
                 vars: [*a_pos_var, *b_pos_var, *out_pos_var, *idx_var],
-                reduce: reduce_reg,
-                exit: 0,
-            }),
-        }
-        for s in body {
-            self.stmt(s);
-        }
-        if let Some((_, expr)) = reduce {
-            let expr = self.operand(expr);
-            self.ops.push(Op::ReduceTail { expr });
-        }
-        let body_start = (enter_at + 1) as OpId;
-        self.ops.push(Op::Next { body: body_start });
-        let exit = self.ops.len() as OpId;
-        match &mut self.ops[enter_at] {
-            Op::EnterRange { exit: e, .. }
-            | Op::EnterScan1 { exit: e, .. }
-            | Op::EnterScan2 { exit: e, .. } => *e = exit,
-            _ => unreachable!("loop lowering emitted a non-enter op"),
-        }
+                body,
+                body_len,
+                reduce,
+            },
+        };
     }
 }
 
@@ -1317,13 +1143,12 @@ mod tests {
     }
 
     #[test]
-    fn nested_loops_lower_to_enter_body_next_with_patched_exit() {
+    fn nested_loops_lower_to_properly_nested_spans() {
         let mut p = SpatialProgram::new("t");
         p.add_dram("out", 4);
-        // Four levels: the outer body's nested rank (3) exceeds
-        // MAX_SIMPLE_RANK, so the outer loop takes the framed
-        // enter/next form while the three inner loops collapse
-        // into nested superinstructions.
+        // Four levels, then a sibling statement: every loop lowers to a
+        // RangeSimple whose body span holds exactly the next level, and
+        // the sibling lands past the outermost span.
         p.accel.push(range_loop(
             0,
             "i",
@@ -1349,23 +1174,30 @@ mod tests {
                 )],
             )],
         ));
+        p.accel.push(SpatialStmt::StoreScalar {
+            dst: "out".into(),
+            index: SExpr::Const(3.0),
+            value: SExpr::Const(9.0),
+        });
         p.assign_ids();
         let c = CompiledProgram::compile(&p);
-        // EnterRange, RangeSimple ×3, StoreScalar, Next, Halt.
+        // RangeSimple ×4, StoreScalar, StoreScalar, Halt.
         assert_eq!(c.ops().len(), 7);
-        let Op::EnterRange { exit, .. } = c.ops()[0] else {
-            panic!("expected EnterRange, got {:?}", c.ops()[0]);
-        };
-        assert_eq!(exit, 6, "exit lands on Halt");
-        assert!(matches!(c.ops()[1], Op::RangeSimple { .. }));
-        assert!(matches!(c.ops()[2], Op::RangeSimple { .. }));
-        assert!(matches!(c.ops()[3], Op::RangeSimple { .. }));
-        let Op::Next { body } = c.ops()[5] else {
-            panic!("expected Next");
-        };
-        assert_eq!(body, 1, "Next jumps to the first body op");
+        for (pc, want_len) in [(0, 4), (1, 3), (2, 2), (3, 1)] {
+            let Op::RangeSimple { body, body_len, .. } = c.ops()[pc] else {
+                panic!("expected RangeSimple at {pc}, got {:?}", c.ops()[pc]);
+            };
+            assert_eq!((body, body_len), (pc as OpId + 1, want_len), "pc {pc}");
+        }
+        assert!(matches!(c.ops()[4], Op::StoreScalar { .. }));
+        assert!(matches!(c.ops()[5], Op::StoreScalar { .. }));
         assert!(matches!(c.ops()[6], Op::Halt));
-        assert_engines_agree(&p, &[]).unwrap();
+        assert_eq!(c.stmt_spans(), &[(0, 5), (5, 6)]);
+        let stats = assert_engines_agree(&p, &[]).unwrap();
+        assert_eq!(
+            (0..4).map(|d| stats.trips(d)).collect::<Vec<_>>(),
+            [3, 6, 12, 24]
+        );
     }
 
     #[test]
@@ -1585,7 +1417,7 @@ mod tests {
     }
 
     #[test]
-    fn deeply_nested_loops_grow_the_frame_stack() {
+    fn deeply_nested_loops_recurse_one_superinstruction_per_level() {
         const DEPTH: usize = 64;
         let mut p = SpatialProgram::new("t");
         p.add_dram("out", 1);
@@ -1610,6 +1442,15 @@ mod tests {
             value: SExpr::RegRead("acc".into()),
         });
         p.assign_ids();
+        // Alloc, then one RangeSimple per level, each spanning the rest
+        // of the nest (the levels below it plus the SetReg).
+        let c = CompiledProgram::compile(&p);
+        for d in 0..DEPTH {
+            let Op::RangeSimple { body_len, .. } = c.ops()[1 + d] else {
+                panic!("level {d} is {:?}", c.ops()[1 + d]);
+            };
+            assert_eq!(body_len as usize, DEPTH - d, "level {d}");
+        }
         let stats = assert_engines_agree(&p, &[]).unwrap();
         for d in 0..DEPTH {
             assert_eq!(stats.trips(d), 1, "depth {d}");
@@ -1683,7 +1524,7 @@ mod tests {
 
     #[test]
     fn machine_recovers_after_an_errored_run() {
-        // An error mid-loop abandons the frame stack; the next run on the
+        // An error mid-loop abandons the loop state; the next run on the
         // same machine must start clean.
         let mut fail = SpatialProgram::new("t");
         fail.add_dram("out", 4);

@@ -13,13 +13,13 @@
 //! [`crate::resolve`] link pass interns every memory, register, FIFO,
 //! and variable name into dense `u32` slots and flattens every
 //! expression tree into one arena, and the [`crate::bytecode`] pass
-//! lowers the resolved tree into a flat op vector with explicit jump
-//! targets. [`Machine::run`] executes that bytecode with a program
-//! counter and a dense frame stack — no statement recursion, no
-//! per-iteration closures — over `Vec`-indexed state, so the hot path
-//! never hashes a string or chases a statement tree. Dense counters are
-//! folded back into the string-keyed [`ExecStats`] shape when
-//! [`Machine::run`] finishes.
+//! lowers the resolved tree into a flat op vector in which every loop is
+//! one superinstruction followed by its body span. [`Machine::run`]
+//! steps that bytecode, running each loop natively inside its
+//! superinstruction — no per-iteration closures — over `Vec`-indexed
+//! state, so the hot path never hashes a string or chases a statement
+//! tree. Dense counters are folded back into the string-keyed
+//! [`ExecStats`] shape when [`Machine::run`] finishes.
 //!
 //! The original name-keyed tree walker survives as
 //! [`crate::ReferenceMachine`], an independent oracle that shares no
@@ -262,30 +262,6 @@ pub(crate) fn check_interrupts(
                 limit: deadline_ms,
             });
         }
-    }
-    Ok(())
-}
-
-/// [`Machine::charge_step`] over already-destructured machine fields,
-/// for call sites (the frame advancer) that hold the machine split into
-/// disjoint borrows.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn charge_step_parts(
-    fuel: &mut u64,
-    cause: FuelCause,
-    limit: u64,
-    interrupts: bool,
-    deadline_at: Option<Instant>,
-    deadline_ms: u64,
-    cancel: Option<&CancelFlag>,
-) -> Result<(), RunError> {
-    if *fuel == 0 {
-        return Err(exhausted_fuel(cause, limit));
-    }
-    *fuel -= 1;
-    if interrupts && *fuel & INTERRUPT_MASK == 0 {
-        check_interrupts(deadline_at, deadline_ms, cancel)?;
     }
     Ok(())
 }
@@ -930,52 +906,6 @@ impl ScanBuf {
     }
 }
 
-/// Iteration state of one active loop in the bytecode engine.
-#[derive(Debug, Clone)]
-enum FrameState {
-    /// Dense `Range` loop.
-    Range {
-        var: Slot,
-        saved: Option<f64>,
-        v: f64,
-        hi: f64,
-        step: f64,
-    },
-    /// Single bit-vector scan.
-    Scan1 {
-        depth: usize,
-        dim: usize,
-        idx: usize,
-        pos: u64,
-        pos_var: Slot,
-        idx_var: Slot,
-        saved: [Option<f64>; 2],
-    },
-    /// Two-input co-iteration scan.
-    Scan2 {
-        depth: usize,
-        dim: usize,
-        idx: usize,
-        ap: u64,
-        bp: u64,
-        emitted: u64,
-        op: ScanOp,
-        vars: [Slot; 4],
-        saved: [Option<f64>; 4],
-    },
-}
-
-/// One active loop of the bytecode dispatch loop: the pattern node id
-/// (for trip/DRAM attribution), the reduction accumulator when the loop
-/// is a `Reduce`, and the counter state.
-#[derive(Debug, Clone)]
-struct Frame {
-    node: usize,
-    reduce: Option<Slot>,
-    acc: f64,
-    state: FrameState,
-}
-
 /// Dense statistics counters, indexed by slot / node id. `Option` on
 /// the DRAM-name counters distinguishes "never touched" from "touched
 /// with zero words" so the fold reproduces the reference engine's
@@ -1196,7 +1126,6 @@ pub struct Machine {
     stats: ExecStats,
     node_stack: Vec<usize>,
     scratch: Vec<usize>,
-    frames: Vec<Frame>,
     vstack: Vec<f64>,
     scan_pool: Vec<ScanBuf>,
     scan_depth: usize,
@@ -1233,41 +1162,6 @@ pub struct Machine {
     write_log: Option<Vec<u64>>,
 }
 
-/// A copy of a [`Machine`]'s execution state — DRAM images, the flat
-/// on-chip arenas, variable bindings, and statistics — taken with
-/// [`Machine::snapshot`] and reinstated with [`Machine::restore`].
-/// Because machine state is a handful of flat vectors, both directions
-/// are slice memcpys.
-///
-/// Snapshots are valid at statement boundaries: between [`Machine::run`]
-/// calls (multi-phase programs split across several `run`s checkpoint
-/// between phases). Transient in-flight state (loop frames, the value
-/// stack) is not captured — it is empty whenever `run` is not on the
-/// call stack. The snapshot carries the machine's program binding, so
-/// restoring also rewinds any re-linking done after the checkpoint.
-#[derive(Debug, Clone)]
-pub struct MachineSnapshot {
-    /// The program binding at snapshot time (an `Arc` clone, so this is
-    /// a pointer copy): restoring rewinds any re-linking that happened
-    /// after the checkpoint, keeping slot-indexed state and symbol
-    /// table in lockstep with the data vectors.
-    compiled: Arc<CompiledProgram>,
-    syms: SymbolTable,
-    dram_source: Arc<CompiledProgram>,
-    dram_state: Vec<DramState>,
-    /// `Arc` clone of the machine's input segment at snapshot time — a
-    /// pointer copy, never a word copy; copy-on-write keeps it pristine
-    /// if the machine writes inputs after the checkpoint.
-    dram_input: Arc<Vec<f64>>,
-    dram_out: Vec<f64>,
-    chip: Vec<ChipState>,
-    words: Vec<f64>,
-    bits: Vec<u64>,
-    env: Vec<Option<f64>>,
-    dense: DenseStats,
-    stats: ExecStats,
-}
-
 impl Machine {
     /// Creates a machine with zeroed DRAM arrays sized per the program's
     /// declarations. The program is linked and lowered to bytecode here;
@@ -1301,7 +1195,6 @@ impl Machine {
             stats: ExecStats::default(),
             node_stack: Vec::new(),
             scratch: Vec::new(),
-            frames: Vec::new(),
             vstack: Vec::new(),
             scan_pool: Vec::new(),
             scan_depth: 0,
@@ -1376,43 +1269,6 @@ impl Machine {
         }
     }
 
-    /// Copies the machine's execution state (DRAM, the flat on-chip
-    /// arenas, variable bindings, statistics). See [`MachineSnapshot`]
-    /// for validity rules.
-    pub fn snapshot(&self) -> MachineSnapshot {
-        MachineSnapshot {
-            compiled: Arc::clone(&self.compiled),
-            syms: self.syms.clone(),
-            dram_source: Arc::clone(&self.dram_source),
-            dram_state: self.dram_state.clone(),
-            dram_input: Arc::clone(&self.dram_input),
-            dram_out: self.dram_out.clone(),
-            chip: self.chip.clone(),
-            words: self.words.clone(),
-            bits: self.bits.clone(),
-            env: self.env.clone(),
-            dense: self.dense.clone(),
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Reinstates a state previously captured with [`Machine::snapshot`],
-    /// reusing this machine's buffers where possible.
-    pub fn restore(&mut self, snapshot: &MachineSnapshot) {
-        self.compiled = Arc::clone(&snapshot.compiled);
-        self.syms.clone_from(&snapshot.syms);
-        self.dram_source = Arc::clone(&snapshot.dram_source);
-        self.dram_state.clone_from(&snapshot.dram_state);
-        self.dram_input = Arc::clone(&snapshot.dram_input);
-        self.dram_out.clone_from(&snapshot.dram_out);
-        self.chip.clone_from(&snapshot.chip);
-        self.words.clone_from(&snapshot.words);
-        self.bits.clone_from(&snapshot.bits);
-        self.env.clone_from(&snapshot.env);
-        self.dense.clone_from(&snapshot.dense);
-        self.stats.clone_from(&snapshot.stats);
-    }
-
     /// The compiled program this machine is bound to.
     pub fn compiled(&self) -> &Arc<CompiledProgram> {
         &self.compiled
@@ -1456,7 +1312,6 @@ impl Machine {
         self.dense.clear();
         self.stats = ExecStats::default();
         self.node_stack.clear();
-        self.frames.clear();
         self.vstack.clear();
         self.scan_depth = 0;
         self.budget = RunBudget::default();
@@ -1911,9 +1766,8 @@ impl Machine {
         &self.stats
     }
 
-    /// Executes the program's Accel block on the flat bytecode engine
-    /// (a program counter over the op vector, loop state in a dense
-    /// frame stack — no recursion).
+    /// Executes the program's Accel block on the flat bytecode engine,
+    /// each loop running natively inside its superinstruction.
     ///
     /// The compiled form produced at construction is reused when
     /// `program` equals the program the machine was built from;
@@ -1935,15 +1789,10 @@ impl Machine {
         Ok(self.stats.clone())
     }
 
+    /// The innermost active loop's pattern node id (every running
+    /// superinstruction pushes its node for the duration of its loop).
     fn current_node(&self) -> Option<usize> {
-        // `node_stack` wins over `frames`: only superinstructions push
-        // it — always after (inside) any framed loop, and nested
-        // superinstructions push in nesting order — so the last entry
-        // is the innermost active loop.
-        self.node_stack
-            .last()
-            .copied()
-            .or_else(|| self.frames.last().map(|f| f.node))
+        self.node_stack.last().copied()
     }
 
     /// Reads a register slot.
@@ -2481,114 +2330,20 @@ impl Machine {
     }
 }
 
-/// The bytecode dispatch engine: a program counter over the compiled
-/// op vector, loop state in a dense frame stack, expressions evaluated
-/// postfix on a value stack with the top cached in a register. No
-/// recursion anywhere on the hot path (nested `RangeSimple`
-/// superinstructions recurse to a constant depth bounded by
-/// [`crate::bytecode::MAX_SIMPLE_RANK`]).
+/// The bytecode dispatch engine: straight-line ops dispatch in order,
+/// each loop superinstruction runs its own native loop over its body
+/// span (recursing once per nested loop, so recursion depth equals loop
+/// nest depth), expressions evaluate postfix on a value stack with the
+/// top cached in a register.
 impl Machine {
-    /// Executes the compiled op vector from the top.
+    /// Executes the compiled op vector from the top: the whole program
+    /// is one body span ending at the final [`Op::Halt`].
     fn run_ops(&mut self, prog: &CompiledProgram) -> Result<(), RunError> {
-        self.frames.clear();
         self.vstack.clear();
         self.node_stack.clear();
         self.scan_depth = 0;
-        let ops = prog.ops();
-        let mut pc = 0usize;
-        loop {
-            match &ops[pc] {
-                Op::Halt => return Ok(()),
-                Op::RangeSimple {
-                    id,
-                    var,
-                    min,
-                    max,
-                    step,
-                    body,
-                    body_len,
-                    reduce,
-                } => {
-                    pc = self.run_range_simple(
-                        prog, *id, *var, *min, *max, *step, *body, *body_len, *reduce,
-                    )?;
-                }
-                Op::Scan1Simple {
-                    id,
-                    bv,
-                    pos_var,
-                    idx_var,
-                    body,
-                    body_len,
-                    reduce,
-                } => {
-                    pc = self.run_scan1_simple(
-                        prog, *id, *bv, *pos_var, *idx_var, *body, *body_len, *reduce,
-                    )?;
-                }
-                Op::Scan2Simple {
-                    id,
-                    op,
-                    bv_a,
-                    bv_b,
-                    vars,
-                    body,
-                    body_len,
-                    reduce,
-                } => {
-                    pc = self.run_scan2_simple(
-                        prog, *id, *op, *bv_a, *bv_b, *vars, *body, *body_len, *reduce,
-                    )?;
-                }
-                Op::EnterRange {
-                    id,
-                    var,
-                    min,
-                    max,
-                    step,
-                    reduce,
-                    exit,
-                } => {
-                    pc =
-                        self.enter_range(prog, pc, *id, *var, *min, *max, *step, *reduce, *exit)?;
-                }
-                Op::EnterScan1 {
-                    id,
-                    bv,
-                    pos_var,
-                    idx_var,
-                    reduce,
-                    exit,
-                } => {
-                    pc = self.enter_scan1(pc, *id, *bv, *pos_var, *idx_var, *reduce, *exit)?;
-                }
-                Op::EnterScan2 {
-                    id,
-                    op,
-                    bv_a,
-                    bv_b,
-                    vars,
-                    reduce,
-                    exit,
-                } => {
-                    pc = self.enter_scan2(pc, *id, *op, *bv_a, *bv_b, *vars, *reduce, *exit)?;
-                }
-                Op::ReduceTail { expr } => {
-                    let v = self.operand_value(prog, *expr)?;
-                    self.dense.reduce_elems += 1;
-                    self.dense.alu_ops += 1; // the tree-add
-                    self.frames.last_mut().expect("reduce frame").acc += v;
-                    pc += 1;
-                }
-                Op::Next { body } => {
-                    pc = self.loop_next(*body, pc)?;
-                }
-                op => {
-                    self.exec_simple_op(prog, op)?;
-                    pc += 1;
-                }
-            }
-        }
+        let halt_pc = prog.ops().len() - 1;
+        self.run_simple_body(prog, 0, halt_pc)
     }
 
     /// Executes one straight-line op (everything except loop control).
@@ -2682,13 +2437,12 @@ impl Machine {
                 let s = index_of(s, || "genbv start".to_string())?;
                 self.do_gen_bit_vector(*dst, *src, s, n, d)
             }
-            _ => unreachable!("loop-control op in straight-line position"),
+            _ => unreachable!("loop or Halt op in straight-line position"),
         }
     }
 
-    /// Runs a straight-line-body `Range` loop natively: bounds evaluated
-    /// once, the body ops stepped per iteration, the optional reduction
-    /// folded — no frame, no per-iteration dispatch of loop control.
+    /// Runs a `Range` loop natively: bounds evaluated once, the body
+    /// ops stepped per iteration, the optional reduction folded.
     #[allow(clippy::too_many_arguments)]
     fn run_range_simple(
         &mut self,
@@ -2702,7 +2456,7 @@ impl Machine {
         body_len: u32,
         reduce: Option<(Slot, Operand)>,
     ) -> Result<usize, RunError> {
-        let mut acc = self.read_reduce_acc(reduce.map(|(reg, _)| reg))?;
+        let mut acc = self.read_reduce_acc(reduce)?;
         let lo = self.operand_value(prog, min)?;
         let hi = self.operand_value(prog, max)?;
         debug_assert!(step > 0, "non-positive loop step");
@@ -2838,14 +2592,13 @@ impl Machine {
         }
         result?;
         self.env[var] = saved;
-        self.write_reduce_acc(reduce.map(|(reg, _)| reg), acc);
+        self.write_reduce_acc(reduce, acc);
         Ok(end)
     }
 
-    /// Steps one iteration's worth of superinstruction body ops:
-    /// straight-line ops dispatch directly, nested superinstructions
-    /// run their own loops (constant recursion depth, capped by
-    /// [`crate::bytecode::MAX_SIMPLE_RANK`]) and their body spans are
+    /// Steps the ops of one body span once: straight-line ops dispatch
+    /// directly, nested superinstructions run their own loops (one
+    /// recursion level per nested loop) and their body spans are
     /// skipped here.
     fn run_simple_body(
         &mut self,
@@ -2907,11 +2660,10 @@ impl Machine {
         Ok(())
     }
 
-    /// Runs a straight-line-body single bit-vector `Scan` loop
-    /// natively: the vector is snapshotted once, then its set bits
-    /// iterate without a frame or per-emit `Next` dispatch.
-    /// Statistics, environment effects, and error order match the
-    /// framed [`Op::EnterScan1`]/[`Op::Next`] protocol exactly.
+    /// Runs a single bit-vector `Scan` loop natively: the vector is
+    /// snapshotted once, then its set bits iterate. Statistics,
+    /// environment effects, and error order match the reference
+    /// engine exactly.
     #[allow(clippy::too_many_arguments)]
     fn run_scan1_simple(
         &mut self,
@@ -2924,7 +2676,7 @@ impl Machine {
         body_len: u32,
         reduce: Option<(Slot, Operand)>,
     ) -> Result<usize, RunError> {
-        let mut acc = self.read_reduce_acc(reduce.map(|(reg, _)| reg))?;
+        let mut acc = self.read_reduce_acc(reduce)?;
         let depth = self.scan_depth;
         let dim = self.scan_snapshot1(bv)?;
         let pos_var = pos_var as usize;
@@ -2998,15 +2750,14 @@ impl Machine {
         result?;
         self.env[pos_var] = saved[0];
         self.env[idx_var] = saved[1];
-        self.write_reduce_acc(reduce.map(|(reg, _)| reg), acc);
+        self.write_reduce_acc(reduce, acc);
         Ok(end)
     }
 
-    /// Runs a straight-line-body two-input co-iteration `Scan` loop
-    /// natively (see [`Machine::run_scan1_simple`]): both vectors are
-    /// snapshotted once, the combined bits emit, and the per-side
-    /// position counters advance exactly as the framed
-    /// [`Op::EnterScan2`]/[`Op::Next`] protocol does — the emitting
+    /// Runs a two-input co-iteration `Scan` loop natively (see
+    /// [`Machine::run_scan1_simple`]): both vectors are snapshotted
+    /// once, the combined bits emit, and the per-side position counters
+    /// advance exactly as the reference engine does — the emitting
     /// index advances its positions after the body.
     #[allow(clippy::too_many_arguments)]
     fn run_scan2_simple(
@@ -3021,7 +2772,7 @@ impl Machine {
         body_len: u32,
         reduce: Option<(Slot, Operand)>,
     ) -> Result<usize, RunError> {
-        let mut acc = self.read_reduce_acc(reduce.map(|(reg, _)| reg))?;
+        let mut acc = self.read_reduce_acc(reduce)?;
         let depth = self.scan_depth;
         let dim = self.scan_snapshot2(bv_a, bv_b)?;
         let vars = vars.map(|v| v as usize);
@@ -3082,7 +2833,7 @@ impl Machine {
                 }
             }
             // The emitting index advances its positions after the
-            // body, exactly as the framed protocol does.
+            // body, exactly as the reference engine does.
             if has_a {
                 ap += 1;
             }
@@ -3106,7 +2857,7 @@ impl Machine {
         for (v, old) in vars.iter().zip(saved) {
             self.env[*v] = old;
         }
-        self.write_reduce_acc(reduce.map(|(reg, _)| reg), acc);
+        self.write_reduce_acc(reduce, acc);
         Ok(end)
     }
 
@@ -3580,327 +3331,22 @@ impl Machine {
     /// Reads the accumulator register at loop entry when the loop is a
     /// `Reduce` (the error ordering the reference engine has: a missing
     /// register is reported before the counter bounds are evaluated).
-    fn read_reduce_acc(&self, reduce: Option<Slot>) -> Result<f64, RunError> {
+    fn read_reduce_acc(&self, reduce: Option<(Slot, Operand)>) -> Result<f64, RunError> {
         match reduce {
             None => Ok(0.0),
-            Some(reg) => self.reg_value(reg),
+            Some((reg, _)) => self.reg_value(reg),
         }
     }
 
     /// Writes the accumulator back at loop exit. Silently skips a slot
     /// that is no longer a register, as the reference engine does.
-    fn write_reduce_acc(&mut self, reduce: Option<Slot>, acc: f64) {
-        if let Some(reg) = reduce {
+    fn write_reduce_acc(&mut self, reduce: Option<(Slot, Operand)>, acc: f64) {
+        if let Some((reg, _)) = reduce {
             let st = self.chip[reg as usize];
             if st.tag == ChipTag::Reg {
                 self.words[st.woff] = acc;
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn enter_range(
-        &mut self,
-        prog: &CompiledProgram,
-        pc: usize,
-        id: usize,
-        var: Slot,
-        min: Operand,
-        max: Operand,
-        step: i64,
-        reduce: Option<Slot>,
-        exit: OpId,
-    ) -> Result<usize, RunError> {
-        let acc = self.read_reduce_acc(reduce)?;
-        let lo = self.operand_value(prog, min)?;
-        let hi = self.operand_value(prog, max)?;
-        debug_assert!(step > 0, "non-positive loop step");
-        let saved = self.env[var as usize];
-        if lo < hi {
-            self.charge_step()?;
-            self.env[var as usize] = Some(lo);
-            self.dense.node_trips[id] += 1;
-            self.frames.push(Frame {
-                node: id,
-                reduce,
-                acc,
-                state: FrameState::Range {
-                    var,
-                    saved,
-                    v: lo,
-                    hi,
-                    step: step as f64,
-                },
-            });
-            Ok(pc + 1)
-        } else {
-            self.write_reduce_acc(reduce, acc);
-            Ok(exit as usize)
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn enter_scan1(
-        &mut self,
-        pc: usize,
-        id: usize,
-        bv: Slot,
-        pos_var: Slot,
-        idx_var: Slot,
-        reduce: Option<Slot>,
-        exit: OpId,
-    ) -> Result<usize, RunError> {
-        let acc = self.read_reduce_acc(reduce)?;
-        let depth = self.scan_depth;
-        let dim = self.scan_snapshot1(bv)?;
-        let saved = [self.env[pos_var as usize], self.env[idx_var as usize]];
-        let mut idx = 0usize;
-        while idx < dim && !self.scan_pool[depth].a_set(idx) {
-            idx += 1;
-        }
-        if idx < dim {
-            // `scan_emits` counts the emit position being *reached* —
-            // even when the step charge then aborts — while
-            // `node_trips` counts charged steps, matching the reference
-            // engine exactly.
-            self.dense.scan_emits += 1;
-            self.charge_step()?;
-            self.scan_depth = depth + 1;
-            self.env[pos_var as usize] = Some(0.0);
-            self.env[idx_var as usize] = Some(idx as f64);
-            self.dense.node_trips[id] += 1;
-            self.frames.push(Frame {
-                node: id,
-                reduce,
-                acc,
-                state: FrameState::Scan1 {
-                    depth,
-                    dim,
-                    idx,
-                    pos: 0,
-                    pos_var,
-                    idx_var,
-                    saved,
-                },
-            });
-            Ok(pc + 1)
-        } else {
-            self.write_reduce_acc(reduce, acc);
-            Ok(exit as usize)
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn enter_scan2(
-        &mut self,
-        pc: usize,
-        id: usize,
-        op: ScanOp,
-        bv_a: Slot,
-        bv_b: Slot,
-        vars: [Slot; 4],
-        reduce: Option<Slot>,
-        exit: OpId,
-    ) -> Result<usize, RunError> {
-        let acc = self.read_reduce_acc(reduce)?;
-        let depth = self.scan_depth;
-        let dim = self.scan_snapshot2(bv_a, bv_b)?;
-        let saved = vars.map(|v| self.env[v as usize]);
-        let (mut idx, mut ap, mut bp) = (0usize, 0u64, 0u64);
-        while idx < dim {
-            let has_a = self.scan_pool[depth].a_set(idx);
-            let has_b = self.scan_pool[depth].b_set(idx);
-            let combined = match op {
-                ScanOp::And => has_a && has_b,
-                ScanOp::Or => has_a || has_b,
-            };
-            if combined {
-                // Emit reached before the charge; trip after (see
-                // [`Machine::enter_scan1`]).
-                self.dense.scan_emits += 1;
-                self.charge_step()?;
-                self.scan_depth = depth + 1;
-                self.env[vars[0] as usize] = Some(if has_a { ap as f64 } else { -1.0 });
-                self.env[vars[1] as usize] = Some(if has_b { bp as f64 } else { -1.0 });
-                self.env[vars[2] as usize] = Some(0.0);
-                self.env[vars[3] as usize] = Some(idx as f64);
-                self.dense.node_trips[id] += 1;
-                self.frames.push(Frame {
-                    node: id,
-                    reduce,
-                    acc,
-                    state: FrameState::Scan2 {
-                        depth,
-                        dim,
-                        idx,
-                        ap,
-                        bp,
-                        emitted: 0,
-                        op,
-                        vars,
-                        saved,
-                    },
-                });
-                return Ok(pc + 1);
-            }
-            if has_a {
-                ap += 1;
-            }
-            if has_b {
-                bp += 1;
-            }
-            idx += 1;
-        }
-        self.write_reduce_acc(reduce, acc);
-        Ok(exit as usize)
-    }
-
-    /// Advances the innermost loop frame: returns the body pc for the
-    /// next iteration (charging one fuel step per continuation), or
-    /// pops the frame (restoring loop variables and writing back a
-    /// reduction) and returns the fall-through pc.
-    fn loop_next(&mut self, body: OpId, pc: usize) -> Result<usize, RunError> {
-        let deadline_ms = self.deadline_ms();
-        let Machine {
-            frames,
-            env,
-            dense,
-            scan_pool,
-            scan_depth,
-            chip,
-            words,
-            fuel,
-            fuel_cause,
-            step_limit,
-            interrupts,
-            deadline_at,
-            budget,
-            ..
-        } = self;
-        let (cause, limit, intr, dl) = (*fuel_cause, *step_limit, *interrupts, *deadline_at);
-        let cancel = budget.cancel.as_ref();
-        let frame = frames.last_mut().expect("active frame");
-        match &mut frame.state {
-            FrameState::Range {
-                var, v, hi, step, ..
-            } => {
-                *v += *step;
-                if *v < *hi {
-                    charge_step_parts(fuel, cause, limit, intr, dl, deadline_ms, cancel)?;
-                    env[*var as usize] = Some(*v);
-                    dense.node_trips[frame.node] += 1;
-                    return Ok(body as usize);
-                }
-            }
-            FrameState::Scan1 {
-                depth,
-                dim,
-                idx,
-                pos,
-                pos_var,
-                idx_var,
-                ..
-            } => {
-                let buf = &scan_pool[*depth];
-                *pos += 1;
-                *idx += 1;
-                while *idx < *dim && !buf.a_set(*idx) {
-                    *idx += 1;
-                }
-                if *idx < *dim {
-                    // Emit reached before the charge; trip after (see
-                    // [`Machine::enter_scan1`]).
-                    dense.scan_emits += 1;
-                    charge_step_parts(fuel, cause, limit, intr, dl, deadline_ms, cancel)?;
-                    env[*pos_var as usize] = Some(*pos as f64);
-                    env[*idx_var as usize] = Some(*idx as f64);
-                    dense.node_trips[frame.node] += 1;
-                    return Ok(body as usize);
-                }
-            }
-            FrameState::Scan2 {
-                depth,
-                dim,
-                idx,
-                ap,
-                bp,
-                emitted,
-                op,
-                vars,
-                ..
-            } => {
-                let buf = &scan_pool[*depth];
-                // The emitting index advances its positions after the
-                // body, exactly as the reference engine does.
-                if buf.a_set(*idx) {
-                    *ap += 1;
-                }
-                if buf.b_set(*idx) {
-                    *bp += 1;
-                }
-                *emitted += 1;
-                *idx += 1;
-                while *idx < *dim {
-                    let has_a = buf.a_set(*idx);
-                    let has_b = buf.b_set(*idx);
-                    let combined = match op {
-                        ScanOp::And => has_a && has_b,
-                        ScanOp::Or => has_a || has_b,
-                    };
-                    if combined {
-                        // Emit reached before the charge; trip after
-                        // (see [`Machine::enter_scan1`]).
-                        dense.scan_emits += 1;
-                        charge_step_parts(fuel, cause, limit, intr, dl, deadline_ms, cancel)?;
-                        env[vars[0] as usize] = Some(if has_a { *ap as f64 } else { -1.0 });
-                        env[vars[1] as usize] = Some(if has_b { *bp as f64 } else { -1.0 });
-                        env[vars[2] as usize] = Some(*emitted as f64);
-                        env[vars[3] as usize] = Some(*idx as f64);
-                        dense.node_trips[frame.node] += 1;
-                        return Ok(body as usize);
-                    }
-                    if has_a {
-                        *ap += 1;
-                    }
-                    if has_b {
-                        *bp += 1;
-                    }
-                    *idx += 1;
-                }
-            }
-        }
-        // Loop finished: restore the counter-bound variables, release
-        // the scan snapshot depth, write back a reduction accumulator.
-        let frame = frames.pop().expect("active frame");
-        match frame.state {
-            FrameState::Range { var, saved, .. } => env[var as usize] = saved,
-            FrameState::Scan1 {
-                depth,
-                pos_var,
-                idx_var,
-                saved,
-                ..
-            } => {
-                *scan_depth = depth;
-                env[pos_var as usize] = saved[0];
-                env[idx_var as usize] = saved[1];
-            }
-            FrameState::Scan2 {
-                depth, vars, saved, ..
-            } => {
-                *scan_depth = depth;
-                for (v, old) in vars.iter().zip(saved) {
-                    env[*v as usize] = old;
-                }
-            }
-        }
-        if let Some(reg) = frame.reduce {
-            let st = chip[reg as usize];
-            if st.tag == ChipTag::Reg {
-                words[st.woff] = frame.acc;
-            }
-        }
-        Ok(pc + 1)
     }
 }
 
@@ -5017,129 +4463,5 @@ mod tests {
         }
         assert_eq!(m.words.len(), words, "word arena grew across relinks");
         assert_eq!(m.bits.len(), bits, "bitset arena grew across relinks");
-    }
-
-    // --- Snapshot / restore ------------------------------------------
-
-    /// Checkpoint regression: run a first phase, snapshot, finish, then
-    /// restore and finish again — the replay must produce byte-identical
-    /// DRAM images and identical statistics, proving the snapshot
-    /// captures all mid-execution state (on-chip arenas, FIFO ring
-    /// positions, bindings, and the dense counters).
-    #[test]
-    fn snapshot_restore_replays_identically() {
-        // Phase 1: load, scatter into SparseSRAM, leave a FIFO with a
-        // wrapped ring, a bound variable, and a register mid-flight.
-        let mut p1 = SpatialProgram::new("phase1");
-        p1.add_dram("in", 8);
-        p1.add_dram("out", 16);
-        p1.accel.push(SpatialStmt::Alloc(MemDecl::new(
-            "s",
-            MemKind::SparseSram,
-            8,
-        )));
-        p1.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("f", MemKind::Fifo, 2)));
-        p1.accel
-            .push(SpatialStmt::Alloc(MemDecl::new("r", MemKind::Reg, 1)));
-        p1.accel.push(SpatialStmt::Load {
-            dst: "s".into(),
-            src: "in".into(),
-            start: SExpr::Const(0.0),
-            end: SExpr::Const(8.0),
-            par: 1,
-        });
-        for v in [4.0, 5.0, 6.0] {
-            p1.accel.push(SpatialStmt::Enq {
-                fifo: "f".into(),
-                value: SExpr::Const(v),
-            });
-        }
-        p1.accel.push(SpatialStmt::StoreScalar {
-            dst: "out".into(),
-            index: SExpr::Const(15.0),
-            value: SExpr::Deq("f".into()),
-        });
-        p1.accel.push(SpatialStmt::SetReg {
-            reg: "r".into(),
-            value: SExpr::Const(2.5),
-        });
-        p1.accel.push(SpatialStmt::Bind {
-            var: "v".into(),
-            value: SExpr::Const(3.0),
-        });
-        // Phase 2: consume all of that state.
-        let mut p2 = SpatialProgram::new("phase2");
-        p2.add_dram("in", 8);
-        p2.add_dram("out", 16);
-        p2.accel.push(SpatialStmt::Foreach {
-            id: 0,
-            counter: Counter::range_to("i", SExpr::Const(4.0)),
-            par: 1,
-            body: vec![SpatialStmt::StoreScalar {
-                dst: "out".into(),
-                index: SExpr::var("i"),
-                value: SExpr::mul(
-                    SExpr::read("s", SExpr::var("i")),
-                    SExpr::RegRead("r".into()),
-                ),
-            }],
-        });
-        p2.accel.push(SpatialStmt::StreamStore {
-            dst: "out".into(),
-            offset: SExpr::Const(4.0),
-            fifo: "f".into(),
-            len: SExpr::Const(2.0),
-        });
-        p2.accel.push(SpatialStmt::StoreScalar {
-            dst: "out".into(),
-            index: SExpr::Const(6.0),
-            value: SExpr::var("v"),
-        });
-        p2.assign_ids();
-
-        let mut m = Machine::new(&p1);
-        m.write_dram("in", &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
-            .unwrap();
-        m.run(&p1).unwrap();
-        let checkpoint = m.snapshot();
-        let stats1 = m.run(&p2).unwrap();
-        let dram1: Vec<u64> = m.dram("out").unwrap().iter().map(|v| v.to_bits()).collect();
-        // Finish again from the checkpoint: byte-identical replay.
-        m.restore(&checkpoint);
-        let stats2 = m.run(&p2).unwrap();
-        let dram2: Vec<u64> = m.dram("out").unwrap().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(dram1, dram2, "replayed DRAM must be byte-identical");
-        assert_eq!(stats1, stats2, "replayed statistics must be identical");
-        // Sanity: phase 2 really consumed phase-1 state.
-        assert_eq!(
-            &m.dram("out").unwrap()[..7],
-            &[
-                2.5, 5.0, 7.5, 10.0, // s[i] * r
-                5.0, 6.0, // FIFO leftovers
-                3.0  // bound var
-            ]
-        );
-    }
-
-    /// The snapshot is a deep copy: mutations after `snapshot()` do not
-    /// leak into it, and `restore` rewinds DRAM too.
-    #[test]
-    fn snapshot_is_isolated_from_later_mutation() {
-        let mut p = SpatialProgram::new("t");
-        p.add_dram("out", 2);
-        p.accel.push(SpatialStmt::StoreScalar {
-            dst: "out".into(),
-            index: SExpr::Const(0.0),
-            value: SExpr::Const(1.0),
-        });
-        let mut m = Machine::new(&p);
-        let before = m.snapshot();
-        m.run(&p).unwrap();
-        assert_eq!(m.dram("out").unwrap()[0], 1.0);
-        assert_eq!(m.stats().dram_random_writes, 1);
-        m.restore(&before);
-        assert_eq!(m.dram("out").unwrap()[0], 0.0, "DRAM rewound");
-        assert_eq!(m.stats().dram_random_writes, 0, "stats rewound");
     }
 }

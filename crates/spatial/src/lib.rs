@@ -17,10 +17,11 @@
 //! Execution goes through a two-stage compilation pipeline: the
 //! [`resolve`] link pass interns names into dense slots and flattens
 //! expression trees into an arena, then the [`bytecode`] pass lowers
-//! the resolved tree into a flat op vector with explicit jump targets
-//! and fused superinstructions. The interpreting [`Machine`] runs the
-//! bytecode with a non-recursive dispatch loop and never hashes a
-//! string on its hot path; compiled artifacts are shared behind `Arc`
+//! the resolved tree into a flat op vector in which every loop is one
+//! superinstruction followed by its body span. The interpreting
+//! [`Machine`] runs each loop natively inside its superinstruction
+//! (recursion depth equals loop nest depth) and never hashes a string
+//! on its hot path; compiled artifacts are shared behind `Arc`
 //! (and cached by [`ProgramCache`]) so harness sweeps re-bind machines
 //! without re-linking. The original name-keyed walker
 //! ([`ReferenceMachine`]) shares nothing with [`Machine`] and is kept as
@@ -48,8 +49,8 @@ pub use analysis::{effects_of_span, verify, Effects, VerifyCtx, VerifyError};
 pub use bytecode::{CompiledProgram, ProgramCache, VecClass};
 pub use faults::{FaultParseError, FaultPlan};
 pub use interp::{
-    BudgetResource, CancelFlag, DramImage, DramImageBuilder, ExecStats, Machine, MachineSnapshot,
-    RunBudget, RunError, DRAM_WORD_BYTES,
+    BudgetResource, CancelFlag, DramImage, DramImageBuilder, ExecStats, Machine, RunBudget,
+    RunError, DRAM_WORD_BYTES,
 };
 pub use ir::{BinSOp, Counter, MemDecl, MemKind, SExpr, ScanOp, SpatialProgram, SpatialStmt};
 pub use pool::{MachinePool, PoolOccupancy, PoolStats, PooledMachine};

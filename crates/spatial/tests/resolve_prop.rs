@@ -340,40 +340,70 @@ fn rmw_block(p: &mut SpatialProgram, rng: &mut TestRng, b: usize) {
     });
 }
 
+/// A loop nest two to four levels deep over an SRAM: the innermost
+/// level writes `s[Σ vars]`, and one randomly chosen level is a
+/// `Reduce` into a register stored after the nest. Every level lowers
+/// to a superinstruction nested in its parent's body span, so nests of
+/// three or more levels exercise the deep-recursion path.
 fn nested_loop_block(p: &mut SpatialProgram, rng: &mut TestRng, b: usize) {
-    let s = format!("nl_s{b}");
+    let (s, r) = (format!("nl_s{b}"), format!("nl_r{b}"));
     p.accel
         .push(SpatialStmt::Alloc(MemDecl::new(&s, MemKind::Sram, SIZE)));
-    let (vo, vi) = (format!("o{b}"), format!("n{b}"));
-    let (outer, inner) = (1 + rng.below(4), 1 + rng.below(4));
-    let value = value_expr(rng, Some(&vi), None, 2);
-    p.accel.push(SpatialStmt::Foreach {
-        id: 0,
-        counter: Counter::range_to(&vo, SExpr::Const(outer as f64)),
-        par: 2,
-        body: vec![SpatialStmt::Foreach {
-            id: 0,
-            counter: Counter::Range {
-                var: vi.clone(),
-                min: SExpr::Const(0.0),
-                max: SExpr::Const(inner as f64),
-                step: 1 + rng.below(2) as i64,
-            },
-            par: 1,
-            body: vec![SpatialStmt::WriteMem {
-                mem: s.clone(),
-                index: SExpr::add(SExpr::var(&vo), SExpr::var(&vi)),
-                value,
-                random: false,
-            }],
-        }],
+    p.accel
+        .push(SpatialStmt::Alloc(MemDecl::new(&r, MemKind::Reg, 1)));
+    let depth = 2 + rng.below(3) as usize;
+    let reduce_at = rng.below(depth as u64) as usize;
+    let vars: Vec<String> = (0..depth).map(|d| format!("n{b}_{d}")).collect();
+    // Every bound is at most 4, so each variable is at most 3 and the
+    // index sum at most 4 * 3 = 12 < SIZE.
+    let index = vars[1..].iter().fold(SExpr::var(&vars[0]), |acc, v| {
+        SExpr::add(acc, SExpr::var(v))
     });
+    let innermost = &vars[depth - 1];
+    let mut body = vec![SpatialStmt::WriteMem {
+        mem: s.clone(),
+        index,
+        value: value_expr(rng, Some(innermost), None, 2),
+        random: false,
+    }];
+    for d in (0..depth).rev() {
+        let counter = Counter::Range {
+            var: vars[d].clone(),
+            min: SExpr::Const(0.0),
+            max: SExpr::Const(1.0 + rng.below(4) as f64),
+            step: 1 + rng.below(2) as i64,
+        };
+        let par = if d == 0 { 2 } else { 1 };
+        body = vec![if d == reduce_at {
+            SpatialStmt::Reduce {
+                id: 0,
+                reg: r.clone(),
+                counter,
+                par,
+                body,
+                expr: value_expr(rng, Some(&vars[d]), Some(&s), 1),
+            }
+        } else {
+            SpatialStmt::Foreach {
+                id: 0,
+                counter,
+                par,
+                body,
+            }
+        }];
+    }
+    p.accel.extend(body);
     p.accel.push(SpatialStmt::Store {
         dst: "out1".into(),
         offset: SExpr::Const(0.0),
         src: s,
-        len: SExpr::Const(8.0),
+        len: SExpr::Const(SIZE as f64),
         par: 1,
+    });
+    p.accel.push(SpatialStmt::StoreScalar {
+        dst: "out0".into(),
+        index: SExpr::Const(b as f64),
+        value: SExpr::RegRead(r),
     });
 }
 

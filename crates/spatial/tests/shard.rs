@@ -18,7 +18,7 @@ use stardust_spatial::ir::MemDecl;
 use stardust_spatial::{
     CompiledProgram, Counter, DramImage, ExecStats, FaultPlan, Machine, MachinePool, MemKind,
     NotShardable, RunBudget, RunError, SExpr, ScanOp, ShardError, ShardPlan, SpatialProgram,
-    SpatialStmt,
+    SpatialStmt, VerifyError,
 };
 
 const SIZE: usize = 16;
@@ -474,6 +474,10 @@ fn rejects_non_integral_bound() {
     ));
 }
 
+/// A non-positive outer step never reaches a sharded run. It is a
+/// verifier error, so debug builds (which verify every compile) refuse
+/// to compile it; release builds compile unverified, and then both the
+/// verifier and the planner reject it.
 #[test]
 fn rejects_non_positive_step() {
     let mut p = skeleton();
@@ -488,10 +492,25 @@ fn rejects_non_positive_step() {
         par: 1,
         body: vec![store_i()],
     });
-    assert!(matches!(
-        analyze(&mut p),
-        Err(NotShardable::NonPositiveStep)
-    ));
+    p.assign_ids();
+    if cfg!(debug_assertions) {
+        let panic = std::panic::catch_unwind(|| CompiledProgram::compile(&p))
+            .expect_err("debug compiles verify the step");
+        let msg = panic
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains("non-positive step 0"), "{msg}");
+    } else {
+        let compiled = Arc::new(CompiledProgram::compile(&p));
+        assert!(matches!(
+            compiled.verify(),
+            Err(VerifyError::NonPositiveStep { step: 0, .. })
+        ));
+        assert!(matches!(
+            ShardPlan::analyze(&compiled),
+            Err(NotShardable::NonPositiveStep)
+        ));
+    }
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Mutation tests for the static bytecode verifier.
 //!
 //! The verifier's contract has two halves. *No false negatives*:
-//! corrupt any structural invariant of a lowered program — jump
-//! targets, frame balance, slot extents, expression stack discipline —
+//! corrupt any structural invariant of a lowered program — body spans
+//! and their nesting, loop steps, slot extents, expression stack
+//! discipline —
 //! and [`stardust_spatial::verify`] must reject the mutant. *No false
 //! positives*: every artifact the compiler actually produces must
 //! pass (also asserted per-seed by the random-program property suite
@@ -105,12 +106,14 @@ fn simple_program() -> SpatialProgram {
     p
 }
 
-/// A framed program: four nested ranges overflow `MAX_SIMPLE_RANK`, so
-/// the outer loop lowers to `EnterRange .. Next` around nested
-/// superinstructions.
-fn framed_program() -> SpatialProgram {
-    let mut p = SpatialProgram::new("verify_framed");
+/// A deep-nest program: four nested ranges with a reduction at the
+/// third level, then a sibling statement. Every loop lowers to a
+/// superinstruction whose body span holds the next level, so the spans
+/// nest four deep inside the outer loop's.
+fn deep_nest_program() -> SpatialProgram {
+    let mut p = SpatialProgram::new("verify_deep_nest");
     p.add_dram("out", 4);
+    alloc(&mut p, "acc", MemKind::Reg, 1);
     p.accel.push(range_loop(
         0,
         "i",
@@ -119,11 +122,12 @@ fn framed_program() -> SpatialProgram {
             1,
             "j",
             2.0,
-            vec![range_loop(
-                2,
-                "k",
-                2.0,
-                vec![range_loop(
+            vec![SpatialStmt::Reduce {
+                id: 2,
+                reg: "acc".into(),
+                counter: Counter::range_to("k", SExpr::Const(2.0)),
+                par: 1,
+                body: vec![range_loop(
                     3,
                     "l",
                     2.0,
@@ -133,9 +137,15 @@ fn framed_program() -> SpatialProgram {
                         value: SExpr::add(SExpr::var("i"), SExpr::var("j")),
                     }],
                 )],
-            )],
+                expr: SExpr::var("k"),
+            }],
         )],
     ));
+    p.accel.push(SpatialStmt::StoreScalar {
+        dst: "out".into(),
+        index: SExpr::Const(3.0),
+        value: SExpr::RegRead("acc".into()),
+    });
     p.assign_ids();
     p
 }
@@ -344,8 +354,9 @@ fn corrupted(op: &Op) -> Vec<Op> {
             body_len,
             reduce,
         } => {
-            // Corrupt the loop variable, the body target (must be
-            // pc + 1), the body span (overrun), and the bound operand.
+            // Corrupt the loop variable, the step (must be positive),
+            // the body target (must be pc + 1), the body span
+            // (overrun), and the bound operand.
             push(Op::RangeSimple {
                 id,
                 var: BAD,
@@ -356,6 +367,18 @@ fn corrupted(op: &Op) -> Vec<Op> {
                 body_len,
                 reduce,
             });
+            for step in [0, -1] {
+                push(Op::RangeSimple {
+                    id,
+                    var,
+                    min,
+                    max,
+                    step,
+                    body,
+                    body_len,
+                    reduce,
+                });
+            }
             push(Op::RangeSimple {
                 id,
                 var,
@@ -445,45 +468,6 @@ fn corrupted(op: &Op) -> Vec<Op> {
                 reduce,
             });
         }
-        Op::EnterRange {
-            id,
-            var,
-            min,
-            max,
-            step,
-            reduce,
-            exit,
-        } => {
-            push(Op::EnterRange {
-                id,
-                var: BAD,
-                min,
-                max,
-                step,
-                reduce,
-                exit,
-            });
-            // Exit before the loop head: frame check must reject.
-            push(Op::EnterRange {
-                id,
-                var,
-                min,
-                max,
-                step,
-                reduce,
-                exit: 0,
-            });
-            push(Op::EnterRange {
-                id,
-                var,
-                min,
-                max,
-                step,
-                reduce,
-                exit: exit + 100_000,
-            });
-        }
-        Op::Next { body } => push(Op::Next { body: body + 1 }),
         _ => {}
     }
     out
@@ -494,7 +478,7 @@ fn corrupted(op: &Op) -> Vec<Op> {
 /// random ones).
 #[test]
 fn compiler_outputs_verify_clean() {
-    for p in [simple_program(), framed_program(), scan_program()] {
+    for p in [simple_program(), deep_nest_program(), scan_program()] {
         let c = CompiledProgram::compile(&p);
         c.verify()
             .unwrap_or_else(|e| panic!("{} rejected: {e}", p.name));
@@ -519,11 +503,10 @@ fn truncated_programs_are_rejected() {
     );
 }
 
-/// Overwriting any non-final op with `Halt` is rejected (stray or
-/// misplaced, depending on position).
+/// Overwriting any non-final op with `Halt` is rejected.
 #[test]
 fn stray_halts_are_rejected() {
-    for p in [simple_program(), framed_program(), scan_program()] {
+    for p in [simple_program(), deep_nest_program(), scan_program()] {
         let c = CompiledProgram::compile(&p);
         for pc in 0..c.ops().len() - 1 {
             let mut ops = c.ops().to_vec();
@@ -541,7 +524,7 @@ fn stray_halts_are_rejected() {
 /// representative program is rejected.
 #[test]
 fn slot_and_target_corruptions_are_rejected() {
-    for p in [simple_program(), framed_program(), scan_program()] {
+    for p in [simple_program(), deep_nest_program(), scan_program()] {
         let c = CompiledProgram::compile(&p);
         let mut mutants = 0usize;
         for pc in 0..c.ops().len() {
@@ -560,57 +543,98 @@ fn slot_and_target_corruptions_are_rejected() {
     }
 }
 
-/// Frame-protocol mutations on the framed program: a bare `Next`, a
-/// dropped `Next`, an unbalanced extra `EnterRange`.
+/// `range i { range j { out[j] = i } }; out[3] = 9`, lowered: the outer
+/// loop's span is `1..3`, the inner's `2..3`, and op 3 is the sibling
+/// store.
+fn overrun_program() -> SpatialProgram {
+    let mut p = SpatialProgram::new("verify_overrun");
+    p.add_dram("out", 4);
+    p.accel.push(range_loop(
+        0,
+        "i",
+        3.0,
+        vec![range_loop(
+            1,
+            "j",
+            3.0,
+            vec![SpatialStmt::StoreScalar {
+                dst: "out".into(),
+                index: SExpr::var("j"),
+                value: SExpr::var("i"),
+            }],
+        )],
+    ));
+    p.accel.push(SpatialStmt::StoreScalar {
+        dst: "out".into(),
+        index: SExpr::Const(3.0),
+        value: SExpr::Const(9.0),
+    });
+    p.assign_ids();
+    p
+}
+
+/// The `[body, body + body_len)` span of a superinstruction op.
+fn body_span(op: &Op) -> Option<(usize, usize)> {
+    match *op {
+        Op::RangeSimple { body, body_len, .. }
+        | Op::Scan1Simple { body, body_len, .. }
+        | Op::Scan2Simple { body, body_len, .. } => {
+            Some((body as usize, body as usize + body_len as usize))
+        }
+        _ => None,
+    }
+}
+
+/// A nested body span that overruns its parent's span is rejected: run
+/// as is, the overrun ops would execute inside the inner loop and then
+/// again in the parent's (or the top level's) own stepping.
 #[test]
-fn frame_imbalance_is_rejected() {
-    let c = CompiledProgram::compile(&framed_program());
-    let ops = c.ops();
-    let enter_pc = ops
-        .iter()
-        .position(|o| matches!(o, Op::EnterRange { .. }))
-        .expect("framed program has an EnterRange");
-    let next_pc = ops
-        .iter()
-        .position(|o| matches!(o, Op::Next { .. }))
-        .expect("framed program has a Next");
-
-    // Bare Next: replace the EnterRange with a straight-line op.
-    let mut m = ops.to_vec();
-    m[enter_pc] = Op::Bind {
-        var: 0,
-        value: Operand::Const(0.0),
+fn nested_span_overrun_is_rejected() {
+    let c = CompiledProgram::compile(&overrun_program());
+    let mut ops = c.ops().to_vec();
+    assert_eq!(body_span(&ops[0]), Some((1, 3)));
+    assert_eq!(body_span(&ops[1]), Some((2, 3)));
+    let Op::RangeSimple { body_len, .. } = &mut ops[1] else {
+        unreachable!("checked above");
     };
-    assert!(
-        verify_mutant(&c, &m, c.eops()).is_err(),
-        "bare Next accepted"
+    *body_len += 1;
+    assert_eq!(
+        verify_mutant(&c, &ops, c.eops()),
+        Err(VerifyError::BodyOutOfRange { pc: 1 })
     );
 
-    // Dropped Next: the frame never closes.
-    let mut m = ops.to_vec();
-    m[next_pc] = Op::Bind {
-        var: 0,
-        value: Operand::Const(0.0),
-    };
-    assert!(
-        verify_mutant(&c, &m, c.eops()).is_err(),
-        "open frame accepted"
-    );
-
-    // A frame op buried inside a superinstruction body.
-    let simple = CompiledProgram::compile(&simple_program());
-    let body_pc = simple
-        .ops()
-        .iter()
-        .position(|o| matches!(o, Op::RangeSimple { .. }))
-        .expect("simple program lowers a RangeSimple")
-        + 1;
-    let mut m = simple.ops().to_vec();
-    m[body_pc] = Op::Next { body: 0 };
-    assert!(
-        verify_mutant(&simple, &m, simple.eops()).is_err(),
-        "frame op inside a superinstruction body accepted"
-    );
+    // Every nested superinstruction of the deep nest, stretched one op
+    // past its innermost enclosing span.
+    let c = CompiledProgram::compile(&deep_nest_program());
+    let mut mutants = 0usize;
+    for pc in 0..c.ops().len() {
+        let Some((_, end)) = body_span(&c.ops()[pc]) else {
+            continue;
+        };
+        let Some(parent_end) = (0..pc)
+            .filter_map(|q| body_span(&c.ops()[q]))
+            .filter(|&(_, e)| e > pc)
+            .map(|(_, e)| e)
+            .min()
+        else {
+            continue;
+        };
+        let mut ops = c.ops().to_vec();
+        let grow = (parent_end + 1 - end) as u32;
+        match &mut ops[pc] {
+            Op::RangeSimple { body_len, .. }
+            | Op::Scan1Simple { body_len, .. }
+            | Op::Scan2Simple { body_len, .. } => *body_len += grow,
+            _ => unreachable!("body_span matched"),
+        }
+        assert_eq!(
+            verify_mutant(&c, &ops, c.eops()),
+            Err(VerifyError::BodyOutOfRange { pc }),
+            "pc {pc} stretched past its parent's end {parent_end}"
+        );
+        mutants += 1;
+    }
+    assert_eq!(mutants, 3, "three loops nest inside another");
 }
 
 /// Expression-program mutations: truncation (no `End`), backward
